@@ -27,8 +27,6 @@ from .patterns import (
     PackingPattern,
     PatternSet,
     contains,
-    enumerate_cutting_patterns,
-    enumerate_overlapping_patterns,
     enumerate_packing_patterns,
     generate_patterns,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "contains",
     "decode_schedule",
     "emit_lp",
-    "enumerate_cutting_patterns",
-    "enumerate_overlapping_patterns",
     "enumerate_packing_patterns",
     "exhaustive_optimum",
     "fitness",

@@ -40,17 +40,13 @@ def candidate_ratios(inst: Instance, pats: PatternSet, mold_class: int) -> set[F
     Covers new-bar cuts with and without a leftover, leftover-bar cuts, and
     splices; raises when nothing can produce the class.
     """
-    g = mold_class
     ratios: set[Fraction] = set()
-    for cut in pats.cutting:
-        produced = cut.item_counts[g - 1]
+    for p in pats.producers:
+        produced = p.item_counts[mold_class - 1]
         if produced > 0:
-            ratios.add(Fraction(cut.waste, produced))
-    for over in pats.overlapping:
-        if over.produced_class == g:
-            ratios.add(Fraction(over.waste))
+            ratios.add(Fraction(p.waste, produced))
     if not ratios:
-        raise UnproducibleClassError(g)
+        raise UnproducibleClassError(mold_class)
     return ratios
 
 

@@ -21,7 +21,6 @@ from .errors import (
     UnproducibleClassError,
     ValidationError,
 )
-from .evaluation import decode_schedule
 from .ga import GaParams, run
 from .harness import TrialDesign, results_csv, run_trials, trials_csv
 from .ilp import build_model, emit_lp
@@ -137,7 +136,7 @@ def _cmd_solve(args) -> int:
         rng_seed=args.seed,
     )
     result = run(inst, pats, params)
-    schedule = decode_schedule(result.chromosome, inst, pats)
+    schedule = result.schedule
     doc = {
         "genes": [[pid, freq] for pid, freq in result.chromosome.genes],
         "makespan": schedule.makespan,

@@ -13,7 +13,7 @@ from .errors import (
     UnknownPatternError,
 )
 from .instance import Instance
-from .patterns import CuttingPattern, OverlappingPattern, PackingPattern, PatternSet
+from .patterns import PackingPattern, PatternSet
 
 Gene = tuple[int, int]  # (pattern id, frequency >= 1)
 
@@ -65,8 +65,13 @@ class Schedule:
 
     @property
     def objective(self) -> float:
-        terms = self.objective_breakdown
-        return terms[0] + terms[1] + terms[2] + terms[3]
+        return combine_objective(
+            self.weights,
+            self.makespan,
+            self.new_bar_waste_cm,
+            self.new_leftover_waste_cm,
+            self.reuse_waste_cm,
+        )
 
 
 @dataclass
@@ -120,22 +125,23 @@ def combine_objective(weights, makespan, new_bar_waste_cm, new_leftover_waste_cm
     return t[0] + t[1] + t[2] + t[3]
 
 
+def waste_by_bucket(uses) -> tuple[int, int, int]:
+    """Total waste (cm) per objective bucket over (producer pattern, uses) pairs:
+    new-bar cuts, leftover-making cuts, leftover reuse."""
+    totals = [0, 0, 0]
+    for pattern, used in uses:
+        totals[pattern.bucket - 1] += pattern.waste * used
+    return totals[0], totals[1], totals[2]
+
+
 def waste_buckets_cm(ch: Chromosome, inst: Instance, pats: PatternSet) -> tuple[int, int, int]:
-    """Total waste (cm) per objective bucket: new-bar cuts, leftover-making cuts,
-    leftover reuse (leftover cuts plus splices)."""
-    new_bar = new_leftover = reuse = 0
+    """Total waste (cm) per objective bucket of a chromosome's producer genes."""
+    uses = []
     for pid, freq in ch.genes:
         pattern = pats.by_id(pid)
-        if isinstance(pattern, CuttingPattern):
-            if pattern.source_bar > inst.num_bar_kinds:
-                reuse += pattern.waste * freq
-            elif pattern.makes_leftover:
-                new_leftover += pattern.waste * freq
-            else:
-                new_bar += pattern.waste * freq
-        elif isinstance(pattern, OverlappingPattern):
-            reuse += pattern.waste * freq
-    return new_bar, new_leftover, reuse
+        if not isinstance(pattern, PackingPattern):
+            uses.append((pattern, freq))
+    return waste_by_bucket(uses)
 
 
 def beam_production(ch: Chromosome, inst: Instance, pats: PatternSet) -> dict[tuple[int, int], int]:
@@ -157,12 +163,9 @@ def bar_usage(ch: Chromosome, inst: Instance, pats: PatternSet) -> dict[int, int
     usage = {w: 0 for w in range(1, inst.num_bar_kinds + inst.num_leftover_kinds + 1)}
     for pid, freq in ch.genes:
         pattern = pats.by_id(pid)
-        if isinstance(pattern, CuttingPattern):
-            usage[pattern.source_bar] += freq
-        elif isinstance(pattern, OverlappingPattern):
-            for v, count in enumerate(pattern.leftover_counts, start=1):
-                if count:
-                    usage[inst.num_bar_kinds + v] += count * freq
+        if not isinstance(pattern, PackingPattern):
+            for w, need in pattern.stock_use:
+                usage[w] += need * freq
     return usage
 
 
@@ -171,11 +174,9 @@ def bars_produced(ch: Chromosome, inst: Instance, pats: PatternSet) -> dict[int,
     produced = {g: 0 for g in range(1, inst.num_mold_classes + 1)}
     for pid, freq in ch.genes:
         pattern = pats.by_id(pid)
-        if isinstance(pattern, CuttingPattern):
+        if not isinstance(pattern, PackingPattern):
             for g, count in enumerate(pattern.item_counts, start=1):
                 produced[g] += count * freq
-        elif isinstance(pattern, OverlappingPattern):
-            produced[pattern.produced_class] += freq
     return produced
 
 
@@ -353,27 +354,16 @@ def _weighted_min_ratio(inst: Instance, pats: PatternSet) -> dict[int, float]:
     per-class floor stays admissible for patterns producing several classes
     in one cut.
     """
-    l2, l3, l4 = inst.weights[1], inst.weights[2], inst.weights[3]
+    producers = pats.producers
     ratios: dict[int, float] = {}
     for g in range(1, inst.num_mold_classes + 1):
         best = None
-        for cut in pats.cutting:
-            if cut.item_counts[g - 1] == 0:
+        for p in producers:
+            if p.item_counts[g - 1] == 0:
                 continue
-            if cut.source_bar > inst.num_bar_kinds:
-                weight = l4
-            elif cut.makes_leftover:
-                weight = l3
-            else:
-                weight = l2
-            value = weight * cut.waste / cut.total_items / 100.0
+            value = inst.weights[p.bucket] * p.waste / p.total_items / 100.0
             if best is None or value < best:
                 best = value
-        for over in pats.overlapping:
-            if over.produced_class == g:
-                value = l4 * over.waste / 100.0
-                if best is None or value < best:
-                    best = value
         ratios[g] = best if best is not None else 0.0
     return ratios
 
@@ -396,38 +386,8 @@ def _min_waste_plan(
     key = (targets, max_genes)
     if key in cache:
         return cache[key]
-    producers = list(pats.cutting) + list(pats.overlapping)
-    W = inst.num_bar_kinds
-    n_classes = inst.num_mold_classes
+    producers = pats.producers
     best: tuple[float, tuple[Gene, ...]] | None = None
-
-    def pattern_production(pattern) -> tuple[int, ...]:
-        if isinstance(pattern, CuttingPattern):
-            return pattern.item_counts
-        out = [0] * n_classes
-        out[pattern.produced_class - 1] = 1
-        return tuple(out)
-
-    def pattern_usage(pattern) -> dict[int, int]:
-        if isinstance(pattern, CuttingPattern):
-            return {pattern.source_bar: 1}
-        return {
-            W + v: count
-            for v, count in enumerate(pattern.leftover_counts, start=1)
-            if count
-        }
-
-    def pattern_weighted_waste(pattern) -> float:
-        if isinstance(pattern, CuttingPattern):
-            if pattern.source_bar > W:
-                weight = inst.weights[3]
-            elif pattern.makes_leftover:
-                weight = inst.weights[2]
-            else:
-                weight = inst.weights[1]
-        else:
-            weight = inst.weights[3]
-        return weight * pattern.waste / 100.0
 
     def remaining_bound(deficit: tuple[int, ...]) -> float:
         return sum(d * ratios[g + 1] for g, d in enumerate(deficit) if d > 0)
@@ -445,31 +405,31 @@ def _min_waste_plan(
         if best is not None and waste + remaining_bound(deficit) >= best[0]:
             return
         pattern = producers[idx]
-        production = pattern_production(pattern)
-        uses = pattern_usage(pattern)
+        production = pattern.item_counts
+        weight = inst.weights[pattern.bucket]
         limit = max_freq
         for g, count in enumerate(production):
             if count > 0:
                 limit = min(limit, deficit[g] // count)
-        for w, need in uses.items():
+        for w, need in pattern.stock_use:
             available = inst.stock[w - 1] - usage.get(w, 0)
             limit = min(limit, available // need)
         # Frequencies high-to-low so complete plans appear early.
         for freq in range(limit, 0, -1):
             for g, count in enumerate(production):
                 produced[g] += count * freq
-            for w, need in uses.items():
+            for w, need in pattern.stock_use:
                 usage[w] = usage.get(w, 0) + need * freq
             genes.append((pattern.id, freq))
-            rec(idx + 1, produced, usage, waste + pattern_weighted_waste(pattern) * freq, genes)
+            rec(idx + 1, produced, usage, waste + weight * pattern.waste / 100.0 * freq, genes)
             genes.pop()
             for g, count in enumerate(production):
                 produced[g] -= count * freq
-            for w, need in uses.items():
+            for w, need in pattern.stock_use:
                 usage[w] -= need * freq
         rec(idx + 1, produced, usage, waste, genes)
 
-    rec(0, [0] * n_classes, {}, 0.0, [])
+    rec(0, [0] * inst.num_mold_classes, {}, 0.0, [])
     cache[key] = best
     return best
 

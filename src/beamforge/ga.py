@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import HorizonError, InfeasibleInstanceError
 from .evaluation import (
     Chromosome,
     Gene,
+    Schedule,
     bar_usage,
     bars_produced,
     bars_required,
@@ -69,7 +70,6 @@ class GaParams:
 class Population:
     members: list[Chromosome]
     fitnesses: list[float]
-    best_history: list[float] = field(default_factory=list)
     rejected_constructions: int = 0
 
     def keys(self) -> set:
@@ -87,10 +87,14 @@ class GenerationStat:
 class GaResult:
     chromosome: Chromosome
     fitness: float
-    makespan: int
+    schedule: Schedule  # the decoded chromosome
     trace: list[GenerationStat]
     rejected_constructions: int
     population: Population | None = None
+
+    @property
+    def makespan(self) -> int:
+        return self.schedule.makespan
 
 
 # -- pseudo-random construction --------------------------------------------
@@ -151,31 +155,16 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
     remaining = list(inst.stock)
     produced = {g: 0 for g in needed}
 
-    def addable(pattern, deficit_by_class) -> int:
+    def addable(pattern) -> int:
         """Max uses without overshooting any class target or the stock."""
-        limit = None
-        if isinstance(pattern, CuttingPattern):
-            for g, count in enumerate(pattern.item_counts, start=1):
-                if count > 0:
-                    room = deficit_by_class[g] // count
-                    limit = room if limit is None else min(limit, room)
-            limit = min(limit, remaining[pattern.source_bar - 1])
-        else:
-            limit = deficit_by_class[pattern.produced_class]
-            for v, count in enumerate(pattern.leftover_counts, start=1):
-                if count:
-                    limit = min(limit, remaining[inst.num_bar_kinds + v - 1] // count)
+        limit = min(
+            (needed[g] - produced[g]) // count
+            for g, count in enumerate(pattern.item_counts, start=1)
+            if count > 0
+        )
+        for w, need in pattern.stock_use:
+            limit = min(limit, remaining[w - 1] // need)
         return max(0, limit)
-
-    def consume(pattern, freq):
-        if isinstance(pattern, CuttingPattern):
-            remaining[pattern.source_bar - 1] -= freq
-            for g, count in enumerate(pattern.item_counts, start=1):
-                produced[g] += count * freq
-        else:
-            for v, count in enumerate(pattern.leftover_counts, start=1):
-                remaining[inst.num_bar_kinds + v - 1] -= count * freq
-            produced[pattern.produced_class] += freq
 
     chosen: set[int] = set()
     for g in sorted(needed):
@@ -184,11 +173,13 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
             while produced[g] < needed[g] and candidates:
                 pattern = candidates.pop(rng.randrange(len(candidates)))
                 chosen.add(pattern.id)
-                deficit_by_class = {h: needed[h] - produced[h] for h in needed}
-                freq = addable(pattern, deficit_by_class)
+                freq = addable(pattern)
                 if freq <= 0:
                     continue
-                consume(pattern, freq)
+                for w, need in pattern.stock_use:
+                    remaining[w - 1] -= need * freq
+                for h, count in enumerate(pattern.item_counts, start=1):
+                    produced[h] += count * freq
                 genes.append((pattern.id, freq))
         if produced[g] < needed[g]:
             return None
@@ -370,11 +361,7 @@ def _fix_balance(genes, inst, pats):
                     continue
                 while produced < required:
                     _, _, usage = state()
-                    fits = all(
-                        usage[inst.num_bar_kinds + v] + count <= inst.stock[inst.num_bar_kinds + v - 1]
-                        for v, count in enumerate(pattern.leftover_counts, start=1)
-                        if count
-                    )
+                    fits = all(usage[w] + need <= inst.stock[w - 1] for w, need in pattern.stock_use)
                     if not fits:
                         break
                     freq += 1
@@ -591,7 +578,6 @@ def run(inst: Instance, pats: PatternSet, params: GaParams) -> GaResult:
             prev_best = best
         else:
             stagnation += 1
-        pop.best_history.append(best)
         trace.append(
             GenerationStat(
                 generation=generation,
@@ -629,7 +615,7 @@ def run(inst: Instance, pats: PatternSet, params: GaParams) -> GaResult:
     return GaResult(
         chromosome=best_member,
         fitness=best_value,
-        makespan=best_schedule.makespan,
+        schedule=best_schedule,
         trace=trace,
         rejected_constructions=rejected,
         population=pop,

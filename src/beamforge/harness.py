@@ -109,18 +109,14 @@ def lbd(fit: float, lb: float) -> float:
     return (fit - lb) / lb
 
 
-def snr(fits: list[float], log_base: str = "natural") -> float:
-    """Robustness statistic -10*log(mean squared fitness); larger is better."""
+def snr(fits: list[float]) -> float:
+    """Robustness statistic -10*ln(mean squared fitness); larger is better."""
     if not fits:
         raise ValueError("need at least one fitness value")
     mean_sq = sum(f * f for f in fits) / len(fits)
     if mean_sq <= 0:
         raise ValueError("mean squared fitness must be positive")
-    if log_base == "natural":
-        return -10.0 * math.log(mean_sq)
-    if log_base == "log10":
-        return -10.0 * math.log10(mean_sq)
-    raise ValueError(f"unknown log base {log_base!r}")
+    return -10.0 * math.log(mean_sq)
 
 
 def _replication_seed(seed: int, trial: int, instance_index: int, rep: int) -> int:
@@ -179,6 +175,8 @@ def run_trials(
         trial_numbers = list(range(1, len(design.rows) + 1))
     if len(trial_numbers) != len(design.rows):
         raise ValueError("trial_numbers must label every design row")
+    if len(set(trial_numbers)) != len(trial_numbers):
+        raise ValueError(f"trial numbers must not repeat: {trial_numbers}")
     prepared: list[tuple[str, Instance, PatternSet, float]] = []
     for name, inst in instances:
         pats = generate_patterns(inst)

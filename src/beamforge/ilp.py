@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError
-from .evaluation import Chromosome, Schedule, combine_objective, decode_schedule
+from .evaluation import (
+    Chromosome,
+    Schedule,
+    combine_objective,
+    decode_schedule,
+    waste_by_bucket,
+)
 from .instance import Instance
 from .patterns import CuttingPattern, OverlappingPattern, PatternSet
 
@@ -67,8 +73,7 @@ class IlpModel:
     def var_names(self) -> list[str]:
         names = [_xname(i, m, t) for (i, m, t) in self.x_keys]
         names += [f"z_{t}" for t in self.z_keys]
-        names += [_cut_name(p, self.inst) for p in self.pats.cutting]
-        names += [f"o_{p.id}" for p in self.pats.overlapping]
+        names += [_producer_name(p) for p in self.pats.producers]
         return names
 
 
@@ -76,7 +81,10 @@ def _xname(i: int, m: int, t: int) -> str:
     return f"x_{i}_{m}_{t}"
 
 
-def _cut_name(pattern: CuttingPattern, inst: Instance) -> str:
+def _producer_name(pattern) -> str:
+    """y_h_w / yl_h_w_v for a cut, o_u for a splice."""
+    if isinstance(pattern, OverlappingPattern):
+        return f"o_{pattern.id}"
     kind = pattern.leftover_kind
     if kind is None:
         return f"y_{pattern.id}_{pattern.source_bar}"
@@ -168,35 +176,23 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
             terms = [(1, _xname(i, m, t)) for i in [0, *admitted[m]]]
             terms += [(-1, _xname(i, m, t + 1)) for i in [0, *admitted[m]]]
             rows.append(Row(f"continuity_{m}_{t}", "continuity", (m, t), tuple(terms), ">=", 0))
-    # Leftover stock: cut as a bar or consumed by splices.
-    for w in range(W + 1, W + V + 1):
-        terms = []
-        for p in pats.cutting:
-            if p.source_bar == w:
-                terms.append((1, _cut_name(p, inst)))
-        for p in pats.overlapping:
-            count = p.leftover_counts[w - W - 1]
+    # Producer terms of the stock and bar-balance rows, cuts before splices.
+    stock_terms = {w: [] for w in range(1, W + V + 1)}
+    balance_terms = {g: [] for g in range(1, inst.num_mold_classes + 1)}
+    for p in pats.producers:
+        name = _producer_name(p)
+        for w, need in p.stock_use:
+            stock_terms[w].append((need, name))
+        for g, count in enumerate(p.item_counts, start=1):
             if count:
-                terms.append((count, f"o_{p.id}"))
-        rows.append(
-            Row(f"leftover_stock_{w}", "leftover_stock", (w,), tuple(terms), "<=", inst.stock[w - 1])
-        )
-    # New-bar stock across both cutting families.
-    for w in range(1, W + 1):
-        terms = [(1, _cut_name(p, inst)) for p in pats.cutting if p.source_bar == w]
-        rows.append(
-            Row(f"new_bar_stock_{w}", "new_bar_stock", (w,), tuple(terms), "<=", inst.stock[w - 1])
-        )
+                balance_terms[g].append((count, name))
+    # Stock per bar kind: leftover kinds (cut as a bar or spliced), then new bars.
+    for w in [*range(W + 1, W + V + 1), *range(1, W + 1)]:
+        group = "leftover_stock" if w > W else "new_bar_stock"
+        rows.append(Row(f"{group}_{w}", group, (w,), tuple(stock_terms[w]), "<=", inst.stock[w - 1]))
     # Bars produced must equal bars the packed molds require.
     for g in range(1, inst.num_mold_classes + 1):
-        terms = []
-        for p in pats.cutting:
-            count = p.item_counts[g - 1]
-            if count:
-                terms.append((count, _cut_name(p, inst)))
-        for p in pats.overlapping:
-            if p.produced_class == g:
-                terms.append((1, f"o_{p.id}"))
+        terms = balance_terms[g]
         for m in range(1, M + 1):
             if inst.mold_class_of(m - 1) != g:
                 continue
@@ -209,18 +205,9 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
                     terms.append((-bars, _xname(i, m, t)))
         rows.append(Row(f"bar_balance_{g}", "bar_balance", (g,), tuple(terms), "=", 0))
 
-    l1, l2, l3, l4 = inst.weights
-    objective = [(l1 * 1.0, f"z_{t}") for t in model.z_keys]
-    for p in pats.cutting:
-        if p.source_bar > W:
-            weight = l4
-        elif p.makes_leftover:
-            weight = l3
-        else:
-            weight = l2
-        objective.append((weight * (p.waste / 100.0), _cut_name(p, inst)))
-    for p in pats.overlapping:
-        objective.append((l4 * (p.waste / 100.0), f"o_{p.id}"))
+    objective = [(inst.weights[0] * 1.0, f"z_{t}") for t in model.z_keys]
+    for p in pats.producers:
+        objective.append((inst.weights[p.bucket] * (p.waste / 100.0), _producer_name(p)))
     model.objective = objective
     return model
 
@@ -271,10 +258,8 @@ def emit_lp(model: IlpModel) -> str:
     for t in model.z_keys:
         lines.append(f" z_{t}")
     lines.append("Generals")
-    for p in model.pats.cutting:
-        lines.append(f" {_cut_name(p, model.inst)}")
-    for p in model.pats.overlapping:
-        lines.append(f" o_{p.id}")
+    for p in model.pats.producers:
+        lines.append(f" {_producer_name(p)}")
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -308,22 +293,10 @@ def induced_assignment(model: IlpModel, ch: Chromosome, schedule: Schedule | Non
 
 def assignment_objective(model: IlpModel, a: Assignment) -> float:
     """Objective of an assignment, via the same arithmetic as chromosome fitness."""
-    inst = model.inst
     active = sum(a.z[t] for t in model.z_keys)
-    new_bar = new_leftover = reuse = 0
-    for p in model.pats.cutting:
-        used = a.cuts[p.id]
-        if not used:
-            continue
-        if p.source_bar > inst.num_bar_kinds:
-            reuse += p.waste * used
-        elif p.makes_leftover:
-            new_leftover += p.waste * used
-        else:
-            new_bar += p.waste * used
-    for p in model.pats.overlapping:
-        reuse += p.waste * a.overlaps[p.id]
-    return combine_objective(inst.weights, active, new_bar, new_leftover, reuse)
+    uses = [(p, a.cuts[p.id]) for p in model.pats.cutting]
+    uses += [(p, a.overlaps[p.id]) for p in model.pats.overlapping]
+    return combine_objective(model.inst.weights, active, *waste_by_bucket(uses))
 
 
 def check_assignment(model: IlpModel, a: Assignment) -> list[Violation]:
@@ -354,14 +327,14 @@ def check_assignment(model: IlpModel, a: Assignment) -> list[Violation]:
             violations.append(Violation("domain", (t,), f"z_{t} must be binary, got {value}"))
     for p in model.pats.cutting:
         value = a.cuts[p.id]
-        values[_cut_name(p, model.inst)] = value
+        values[_producer_name(p)] = value
         if not isinstance(value, int) or value < 0:
             violations.append(
                 Violation("domain", (p.id,), f"cut count must be a nonnegative integer, got {value}")
             )
     for p in model.pats.overlapping:
         value = a.overlaps[p.id]
-        values[f"o_{p.id}"] = value
+        values[_producer_name(p)] = value
         if not isinstance(value, int) or value < 0:
             violations.append(
                 Violation(

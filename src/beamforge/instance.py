@@ -42,6 +42,8 @@ def meters_to_cm(value) -> int:
     else:
         raise InstanceFormatError(f"expected a number, got {value!r}")
     scaled = dec * 100
+    if not scaled.is_finite():
+        raise InstanceFormatError(f"length {value} is not a finite number")
     if scaled != scaled.to_integral_value():
         raise InstanceFormatError(
             f"length {value} has more than two fraction digits of meters"
@@ -215,6 +217,9 @@ def parse_instance(text: str) -> Instance:
         for key in ("lengths", "demands", "curing", "bars_per_beam"):
             if key not in raw:
                 raise InstanceFormatError(f"beam type {idx}: missing key {key!r}")
+        for key in ("curing", "bars_per_beam"):
+            if isinstance(raw[key], bool) or not isinstance(raw[key], int):
+                raise InstanceFormatError(f"beam type {idx}: key {key!r} must be an integer")
         beam_types.append(
             BeamType(
                 lengths=length_list(raw["lengths"], f"beam type {idx} lengths"),
@@ -225,8 +230,18 @@ def parse_instance(text: str) -> Instance:
         )
 
     raw_weights = need("lambda")
-    if not isinstance(raw_weights, list) or len(raw_weights) != 4:
-        raise InstanceFormatError("lambda must be an array of 4 numbers")
+    # JSON numbers parse to int or Decimal; NaN and Infinity parse to float.
+    if (
+        not isinstance(raw_weights, list)
+        or len(raw_weights) != 4
+        or any(
+            isinstance(w, bool)
+            or not isinstance(w, (int, Decimal))
+            or not math.isfinite(float(Decimal(w)))
+            for w in raw_weights
+        )
+    ):
+        raise InstanceFormatError("lambda must be an array of 4 finite numbers")
 
     inst = Instance(
         num_beam_types=count("C"),

@@ -27,8 +27,27 @@ class PackingPattern:
     duration: int  # periods (curing time of the beam type)
 
 
+# Objective waste buckets, each an index into Instance.weights: cuts of new
+# bars (lambda2), cuts of new bars that set a leftover aside (lambda3), and
+# leftover reuse, i.e. cuts of leftover bars and splices (lambda4).
+NEW_BAR, NEW_BAR_LEFTOVER, REUSE = 1, 2, 3
+
+
+class Producer:
+    """What one use of a cut or a splice yields, consumes and wastes.
+
+    Both kinds carry `item_counts` (mold-length bars per class), `stock_use`
+    ((1-based bar kind, bars per use) pairs), `waste` (cm) and `bucket`, the
+    waste bucket above that the waste is charged to.
+    """
+
+    @property
+    def total_items(self) -> int:
+        return sum(self.item_counts)
+
+
 @dataclass(frozen=True)
-class CuttingPattern:
+class CuttingPattern(Producer):
     """Recipe cutting one stock bar into mold-length items plus leftovers."""
 
     id: int
@@ -36,14 +55,8 @@ class CuttingPattern:
     item_counts: tuple[int, ...]  # per mold class
     leftover_counts: tuple[int, ...]  # per leftover kind; at most one kind positive
     waste: int  # cm
-
-    @property
-    def total_items(self) -> int:
-        return sum(self.item_counts)
-
-    @property
-    def makes_leftover(self) -> bool:
-        return any(self.leftover_counts)
+    stock_use: tuple[tuple[int, int], ...]  # ((source_bar, 1),)
+    bucket: int  # REUSE for a leftover bar, else NEW_BAR_LEFTOVER or NEW_BAR
 
     @property
     def leftover_kind(self) -> int | None:
@@ -55,13 +68,16 @@ class CuttingPattern:
 
 
 @dataclass(frozen=True)
-class OverlappingPattern:
+class OverlappingPattern(Producer):
     """Two leftovers spliced into one mold-length bar."""
 
     id: int
     produced_class: int  # 1-based
     leftover_counts: tuple[int, ...]  # per leftover kind, summing to 2
     waste: int  # cm, at least the splice loss
+    item_counts: tuple[int, ...]  # one-hot at produced_class
+    stock_use: tuple[tuple[int, int], ...]  # one pair per consumed leftover kind
+    bucket: int = REUSE
 
 
 @dataclass
@@ -102,6 +118,11 @@ class PatternSet:
 
     def by_id(self, pattern_id: int):
         return self._by_id[pattern_id]
+
+    @property
+    def producers(self) -> list:
+        """Cuts, then splices: every pattern that makes mold-length bars."""
+        return self.cutting + self.overlapping
 
     def packing_in_class(self, mold_class: int) -> list[PackingPattern]:
         return [p for p in self.packing if p.mold_class == mold_class]
@@ -206,12 +227,6 @@ def _cutting_tuples(inst: Instance):
     return found
 
 
-def enumerate_cutting_patterns(inst: Instance) -> list[CuttingPattern]:
-    """All cutting patterns, ids following the packing block."""
-    offset = len(_packing_tuples(inst, True))
-    return _cutting_list(inst, offset)
-
-
 def _cutting_list(inst: Instance, offset: int) -> list[CuttingPattern]:
     out = []
     for pid, (w, items, leftovers, waste) in enumerate(_cutting_tuples(inst), start=offset + 1):
@@ -222,6 +237,14 @@ def _cutting_list(inst: Instance, offset: int) -> list[CuttingPattern]:
                 item_counts=items,
                 leftover_counts=leftovers,
                 waste=waste,
+                stock_use=((w, 1),),
+                bucket=(
+                    REUSE
+                    if w > inst.num_bar_kinds
+                    else NEW_BAR_LEFTOVER
+                    if any(leftovers)
+                    else NEW_BAR
+                ),
             )
         )
     return out
@@ -245,17 +268,21 @@ def _overlapping_tuples(inst: Instance):
     return found
 
 
-def enumerate_overlapping_patterns(inst: Instance) -> list[OverlappingPattern]:
-    """All overlapping patterns, ids following the cutting block."""
-    offset = len(_packing_tuples(inst, True)) + len(_cutting_tuples(inst))
-    return _overlapping_list(inst, offset)
-
-
 def _overlapping_list(inst: Instance, offset: int) -> list[OverlappingPattern]:
+    W = inst.num_bar_kinds
     out = []
     for pid, (g, counts, waste) in enumerate(_overlapping_tuples(inst), start=offset + 1):
+        items = [0] * inst.num_mold_classes
+        items[g - 1] = 1
         out.append(
-            OverlappingPattern(id=pid, produced_class=g, leftover_counts=counts, waste=waste)
+            OverlappingPattern(
+                id=pid,
+                produced_class=g,
+                leftover_counts=counts,
+                waste=waste,
+                item_counts=tuple(items),
+                stock_use=tuple((W + v, n) for v, n in enumerate(counts, start=1) if n),
+            )
         )
     return out
 

@@ -32,12 +32,35 @@ class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         assert dispatch(["solve", "--instance", str(tmp_path / "missing.json")]) == 3
 
-    def test_bad_content_is_validation_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"stock": [-1, 16, 28, 25, 29]},
+            {"curing": "2"},
+            {"curing": 1.5},
+            {"curing": None},
+            {"bars_per_beam": None},
+            {"lambda": [None, 1, 1, 1]},
+            {"lambda": [float("nan"), 1, 1, 1]},
+            {"molds": [float("inf"), 5.95, 5.95, 5.95, 11.95]},
+        ],
+        ids=["negative-stock", "curing-string", "curing-float", "curing-null",
+             "bars-per-beam-null", "lambda-null", "lambda-nan", "mold-infinite"],
+    )
+    def test_bad_content_is_validation_error(self, tmp_path, capsys, change):
         path = tmp_path / "bad.json"
         doc = dict(CWP000_DOC)
-        doc["stock"] = [-1, 16, 28, 25, 29]
+        beam = dict(doc["beam_types"][0])
+        for key, value in change.items():
+            if key in beam:
+                beam[key] = value
+            else:
+                doc[key] = value
+        doc["beam_types"] = [beam]
         path.write_text(json.dumps(doc))
         assert dispatch(["bound", "--instance", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("beamforge: ") and err.count("\n") == 1
 
     def test_unsatisfiable_instance_is_code_two(self, tmp_path):
         doc = {
@@ -204,6 +227,15 @@ class TestBench:
         ) == 0
         lines = open(out).read().splitlines()
         assert lines[1].startswith("7,mini,1,")
+
+    def test_repeated_trial_rejected(self, mini_dir, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        assert dispatch(
+            ["bench", "--instances", mini_dir, "--reps", "1", "--seed", "2",
+             "--out", str(out), "--trials", "4,4", "--no-timing"]
+        ) == 1
+        assert "repeat" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_dir_is_code_two(self, tmp_path):
         empty = tmp_path / "none"

@@ -45,11 +45,6 @@ class TestSnr:
         assert snr([2.0, 2.0]) == pytest.approx(-10 * math.log(4), abs=1e-9)
         assert snr([2.0, 2.0]) == pytest.approx(-13.8629436112, abs=1e-9)
 
-    def test_log10_convention(self):
-        assert snr([2.0, 2.0], log_base="log10") == pytest.approx(
-            -10 * math.log10(4), abs=1e-12
-        )
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             snr([])

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from beamforge.evaluation import Chromosome, decode_schedule, fitness
+from beamforge.evaluation import Chromosome, decode_schedule, exhaustive_optimum, fitness
 from beamforge.ilp import (
     Assignment,
     assignment_objective,
@@ -9,9 +11,18 @@ from beamforge.ilp import (
     emit_lp,
     induced_assignment,
 )
-from beamforge.patterns import PatternSet, generate_patterns
+from beamforge.instance import parse_instance
+from beamforge.patterns import NEW_BAR, NEW_BAR_LEFTOVER, REUSE, PatternSet, generate_patterns
 
-from conftest import beam_type, cwp000_optimal_genes, make_instance
+from conftest import (
+    CWP000_DOC,
+    beam_type,
+    cwp000_optimal_genes,
+    find_cutting,
+    find_overlap,
+    find_packing,
+    make_instance,
+)
 
 
 def parse_lp(text):
@@ -221,7 +232,7 @@ class TestCheckAssignment:
         pats = generate_patterns(inst)
         model = build_model(inst, pats)
         # Two casts back to back, two bars from single-item cuts.
-        cut = next(p for p in pats.cutting if p.item_counts == (1,) and not p.makes_leftover)
+        cut = next(p for p in pats.cutting if p.item_counts == (1,) and p.leftover_kind is None)
         ch = Chromosome([(1, 2), (cut.id, 2)])
         schedule = decode_schedule(ch, inst, pats)
         assignment = induced_assignment(model, ch, schedule)
@@ -231,6 +242,63 @@ class TestCheckAssignment:
         assignment.x[(0, 1, start + 1)] = 0
         groups = {v.group for v in check_assignment(model, assignment)}
         assert "curing_hold" in groups
+
+
+class TestDistinctWeights:
+    """Every objective path charges each producer's waste to the same λ.
+
+    The weights are pairwise distinct, so a λ2/λ3/λ4 mix-up in any consumer
+    changes a value below.
+    """
+
+    WEIGHTS = [1.5, 0.7, 2.25, 3.1]
+
+    @pytest.fixture(scope="class")
+    def weighted(self):
+        inst = parse_instance(json.dumps(dict(CWP000_DOC, **{"lambda": self.WEIGHTS})))
+        return inst, generate_patterns(inst)
+
+    def test_bucket_per_producer_kind(self, weighted):
+        inst, pats = weighted
+        assert find_cutting(pats, 1, (0, 1), (0, 0, 0, 0)).bucket == NEW_BAR
+        assert find_cutting(pats, 1, (1, 0), (0, 0, 1, 0)).bucket == NEW_BAR_LEFTOVER
+        assert find_cutting(pats, 4, (1, 0), (0, 0, 0, 0)).bucket == REUSE
+        splice = find_overlap(pats, 1, (0, 0, 1, 1))
+        assert splice.bucket == REUSE
+        assert splice.item_counts == (1, 0) and splice.stock_use == ((4, 1), (5, 1))
+        assert [inst.weights[b] for b in (NEW_BAR, NEW_BAR_LEFTOVER, REUSE)] == [0.7, 2.25, 3.1]
+
+    def test_plan_objective_agrees_across_paths(self, weighted):
+        inst, pats = weighted
+        # A new-bar cut, a new-bar cut setting aside a 6 m leftover and a cut
+        # of a 6 m leftover: 10, 15 and 5 cm of waste in the three buckets.
+        ch = Chromosome(
+            [
+                (find_packing(pats, 1, (2, 1)).id, 4),
+                (find_packing(pats, 1, (1, 3)).id, 2),
+                (find_cutting(pats, 1, (0, 1), (0, 0, 0, 0)).id, 2),
+                (find_cutting(pats, 1, (1, 0), (0, 0, 1, 0)).id, 3),
+                (find_cutting(pats, 4, (1, 0), (0, 0, 0, 0)).id, 1),
+            ]
+        )
+        # 1.5 * 2 + 0.7 * 0.10 + 2.25 * 0.15 + 3.1 * 0.05
+        value = fitness(ch, inst, pats)
+        assert value == 3.5625
+        model = build_model(inst, pats)
+        assignment = induced_assignment(model, ch)
+        assert check_assignment(model, assignment) == []
+        assert assignment_objective(model, assignment) == value
+        values = [assignment.x[key] for key in model.x_keys]
+        values += [assignment.z[t] for t in model.z_keys]
+        values += [assignment.cuts[p.id] for p in pats.cutting]
+        values += [assignment.overlaps[p.id] for p in pats.overlapping]
+        by_name = dict(zip(model.var_names(), values))
+        assert sum(coeff * by_name[name] for coeff, name in model.objective) == value
+
+    def test_oracle_value(self, weighted):
+        inst, pats = weighted
+        _, value = exhaustive_optimum(inst, pats, max_freq=10, max_genes=8)
+        assert value == pytest.approx(3.21, abs=1e-12)
 
 
 class TestExternalSolve:

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from beamforge.patterns import (
     contains,
-    enumerate_cutting_patterns,
-    enumerate_overlapping_patterns,
     enumerate_packing_patterns,
     generate_patterns,
 )
@@ -110,7 +108,7 @@ class TestCuttingGolden:
             bar_lengths=(500, 400),
             num_bar_kinds=1,
         )
-        assert enumerate_cutting_patterns(inst) == []
+        assert generate_patterns(inst).cutting == []
 
 
 class TestOverlapGolden:
@@ -132,7 +130,7 @@ class TestOverlapGolden:
 
         inst = parse_instance(cwp000_text)
         inst.overlap_loss = 10000
-        assert enumerate_overlapping_patterns(inst) == []
+        assert generate_patterns(inst).overlapping == []
 
 
 class TestContains:
@@ -173,8 +171,8 @@ class TestIdScheme:
 
     def test_standalone_enumerations_match_set(self, cwp000, cwp000_patterns):
         assert enumerate_packing_patterns(cwp000) == cwp000_patterns.packing
-        assert enumerate_cutting_patterns(cwp000) == cwp000_patterns.cutting
-        assert enumerate_overlapping_patterns(cwp000) == cwp000_patterns.overlapping
+        assert generate_patterns(cwp000).cutting == cwp000_patterns.cutting
+        assert generate_patterns(cwp000).overlapping == cwp000_patterns.overlapping
 
 
 # -- brute-force equivalence -------------------------------------------------
