@@ -18,7 +18,6 @@ from .errors import (
     BeamforgeError,
     InfeasibleInstanceError,
     InstanceFormatError,
-    UnproducibleClassError,
     ValidationError,
 )
 from .ga import GaParams, run
@@ -256,9 +255,6 @@ def dispatch(argv: list[str]) -> int:
     except (InstanceFormatError, ValidationError, ValueError) as exc:
         print(f"beamforge: {exc}", file=sys.stderr)
         return 1
-    except (InfeasibleInstanceError, UnproducibleClassError) as exc:
-        print(f"beamforge: {exc}", file=sys.stderr)
-        return 2
     except BeamforgeError as exc:
         print(f"beamforge: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,8 @@ class InfeasibleChromosomeError(BeamforgeError):
 
 
 class InfeasibleInstanceError(BeamforgeError):
-    """Raised when no feasible solution could be constructed for an instance."""
+    """Raised when an instance cannot be solved: a structural cause, or no
+    feasible solution found by construction."""
 
 
 class UnproducibleClassError(BeamforgeError):

@@ -45,9 +45,7 @@ class Schedule:
 
     assignments: list[list[tuple[int, int]]]  # per mold: (pattern id, start period)
     loads: list[int]  # occupied periods per mold (contiguous prefix)
-    makespan: int
-    used_periods: list[bool]  # one flag per period of the horizon
-    bar_requirements: dict[int, int]  # per mold class
+    makespan: int  # periods 1..makespan are in use
     new_bar_waste_cm: int
     new_leftover_waste_cm: int
     reuse_waste_cm: int
@@ -144,76 +142,64 @@ def waste_buckets_cm(ch: Chromosome, inst: Instance, pats: PatternSet) -> tuple[
     return waste_by_bucket(uses)
 
 
-def beam_production(ch: Chromosome, inst: Instance, pats: PatternSet) -> dict[tuple[int, int], int]:
-    """Beams produced per (type, length index), both 1-based."""
-    produced: dict[tuple[int, int], int] = {}
-    for c, bt in enumerate(inst.beam_types, start=1):
-        for k in range(1, bt.num_lengths + 1):
-            produced[(c, k)] = 0
-    for pid, freq in ch.genes:
-        pattern = pats.by_id(pid)
+class Tally:
+    """Demand, stock and bar-balance totals of a gene list, kept current.
+
+    `beams` counts beams made per (type, length index), `used` stock bars
+    drawn per bar kind (1-based), and `made` / `required` the mold-length bars
+    per class that producers make and packing uses need.  `add` applies one
+    change of frequency, so a caller that edits genes through it never has to
+    rescan them; `report` compares the totals with the instance.
+    """
+
+    def __init__(self, inst: Instance, pats: PatternSet, genes=()):
+        self.inst = inst
+        self.beams = {
+            (c, k): 0
+            for c, bt in enumerate(inst.beam_types, start=1)
+            for k in range(1, bt.num_lengths + 1)
+        }
+        self.used = {w: 0 for w in range(1, inst.num_bar_kinds + inst.num_leftover_kinds + 1)}
+        self.made = {g: 0 for g in range(1, inst.num_mold_classes + 1)}
+        self.required = dict.fromkeys(self.made, 0)
+        for pid, freq in genes:
+            if pid not in pats:
+                raise UnknownPatternError(f"unknown pattern id {pid}")
+            self.add(pats.by_id(pid), freq)
+
+    def add(self, pattern, freq: int) -> None:
+        """Count `freq` more uses of a pattern; a negative `freq` removes uses."""
         if isinstance(pattern, PackingPattern):
             for k, count in enumerate(pattern.counts, start=1):
-                produced[(pattern.beam_type, k)] += count * freq
-    return produced
-
-
-def bar_usage(ch: Chromosome, inst: Instance, pats: PatternSet) -> dict[int, int]:
-    """Stock bars consumed per bar kind (1-based), cuts plus splice inputs."""
-    usage = {w: 0 for w in range(1, inst.num_bar_kinds + inst.num_leftover_kinds + 1)}
-    for pid, freq in ch.genes:
-        pattern = pats.by_id(pid)
-        if not isinstance(pattern, PackingPattern):
+                self.beams[(pattern.beam_type, k)] += count * freq
+            self.required[pattern.mold_class] += pattern.bars * freq
+        else:
             for w, need in pattern.stock_use:
-                usage[w] += need * freq
-    return usage
-
-
-def bars_produced(ch: Chromosome, inst: Instance, pats: PatternSet) -> dict[int, int]:
-    """Mold-length bars produced per class by cutting and overlapping genes."""
-    produced = {g: 0 for g in range(1, inst.num_mold_classes + 1)}
-    for pid, freq in ch.genes:
-        pattern = pats.by_id(pid)
-        if not isinstance(pattern, PackingPattern):
+                self.used[w] += need * freq
             for g, count in enumerate(pattern.item_counts, start=1):
-                produced[g] += count * freq
-    return produced
+                self.made[g] += count * freq
 
-
-def bars_required(ch: Chromosome, inst: Instance, pats: PatternSet) -> dict[int, int]:
-    """Bars the packing genes call for, per mold class."""
-    required = {g: 0 for g in range(1, inst.num_mold_classes + 1)}
-    for pid, freq in ch.genes:
-        pattern = pats.by_id(pid)
-        if isinstance(pattern, PackingPattern):
-            bars = inst.beam_types[pattern.beam_type - 1].bars_per_beam
-            required[pattern.mold_class] += bars * freq
-    return required
+    def report(self) -> InfeasibilityReport:
+        inst = self.inst
+        report = InfeasibilityReport()
+        for c, bt in enumerate(inst.beam_types, start=1):
+            for k, demand in enumerate(bt.demands, start=1):
+                short = demand - self.beams[(c, k)]
+                if short > 0:
+                    report.demand_shortfall[(c, k)] = short
+        for w, used in self.used.items():
+            excess = used - inst.stock[w - 1]
+            if excess > 0:
+                report.stock_excess[w] = excess
+        for g, made in self.made.items():
+            if made != self.required[g]:
+                report.balance_mismatch[g] = (made, self.required[g])
+        return report
 
 
 def classify_infeasibility(ch: Chromosome, inst: Instance, pats: PatternSet) -> InfeasibilityReport:
     """Check demand coverage, stock limits and bar balance for a chromosome."""
-    for pid, _ in ch.genes:
-        if pid not in pats:
-            raise UnknownPatternError(f"unknown pattern id {pid}")
-    report = InfeasibilityReport()
-    produced_beams = beam_production(ch, inst, pats)
-    for c, bt in enumerate(inst.beam_types, start=1):
-        for k, demand in enumerate(bt.demands, start=1):
-            short = demand - produced_beams[(c, k)]
-            if short > 0:
-                report.demand_shortfall[(c, k)] = short
-    usage = bar_usage(ch, inst, pats)
-    for w, used in usage.items():
-        excess = used - inst.stock[w - 1]
-        if excess > 0:
-            report.stock_excess[w] = excess
-    produced = bars_produced(ch, inst, pats)
-    required = bars_required(ch, inst, pats)
-    for g in produced:
-        if produced[g] != required[g]:
-            report.balance_mismatch[g] = (produced[g], required[g])
-    return report
+    return Tally(inst, pats, ch.genes).report()
 
 
 def decode_schedule(ch: Chromosome, inst: Instance, pats: PatternSet) -> Schedule:
@@ -225,18 +211,13 @@ def decode_schedule(ch: Chromosome, inst: Instance, pats: PatternSet) -> Schedul
     """
     loads = [0] * inst.num_molds
     assignments: list[list[tuple[int, int]]] = [[] for _ in range(inst.num_molds)]
-    bar_requirements = {g: 0 for g in range(1, inst.num_mold_classes + 1)}
-    class_molds = {
-        g: inst.molds_in_class(g) for g in range(1, inst.num_mold_classes + 1)
-    }
     for pid, freq in ch.genes:
         if pid not in pats:
             raise UnknownPatternError(f"unknown pattern id {pid}")
         pattern = pats.by_id(pid)
         if not isinstance(pattern, PackingPattern):
             continue
-        molds = class_molds[pattern.mold_class]
-        bars = inst.beam_types[pattern.beam_type - 1].bars_per_beam
+        molds = inst.molds_in_class(pattern.mold_class)
         for _ in range(freq):
             target = min(molds, key=lambda m: loads[m])
             start = loads[target] + 1
@@ -247,15 +228,12 @@ def decode_schedule(ch: Chromosome, inst: Instance, pats: PatternSet) -> Schedul
                 )
             assignments[target].append((pid, start))
             loads[target] += pattern.duration
-            bar_requirements[pattern.mold_class] += bars
     makespan = max(loads) if loads else 0
     w2, w3, w4 = waste_buckets_cm(ch, inst, pats)
     return Schedule(
         assignments=assignments,
         loads=loads,
         makespan=makespan,
-        used_periods=[t < makespan for t in range(inst.horizon)],
-        bar_requirements=bar_requirements,
         new_bar_waste_cm=w2,
         new_leftover_waste_cm=w3,
         reuse_waste_cm=w4,
@@ -499,7 +477,6 @@ def exhaustive_optimum(
         if idx == len(packing) or n_genes >= max_genes:
             return
         pattern = packing[idx]
-        bt = inst.beam_types[pattern.beam_type - 1]
         g = pattern.mold_class
         capacity = len(inst.molds_in_class(g)) * inst.horizon
         limit = min(max_freq, (capacity - class_load[g]) // pattern.duration)
@@ -509,9 +486,9 @@ def exhaustive_optimum(
                 produced[key] = produced.get(key, 0) + count * freq
             class_load[g] += pattern.duration * freq
             class_genes[g].append((pattern.id, freq))
-            bars[g] += bt.bars_per_beam * freq
+            bars[g] += pattern.bars * freq
             rec(idx + 1, produced, class_load, class_genes, bars, n_genes + 1)
-            bars[g] -= bt.bars_per_beam * freq
+            bars[g] -= pattern.bars * freq
             class_genes[g].pop()
             class_load[g] -= pattern.duration * freq
             for k, count in enumerate(pattern.counts, start=1):

@@ -13,19 +13,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import HorizonError, InfeasibleInstanceError
-from .evaluation import (
-    Chromosome,
-    Gene,
-    Schedule,
-    bar_usage,
-    bars_produced,
-    bars_required,
-    beam_production,
-    classify_infeasibility,
-    decode_schedule,
-    evaluate,
-)
-from .instance import Instance
+from .evaluation import Chromosome, Gene, Schedule, Tally, decode_schedule, evaluate
+from .instance import Instance, require_casts_fit
 from .patterns import CuttingPattern, OverlappingPattern, PackingPattern, PatternSet
 
 
@@ -109,6 +98,7 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
     class by class from random cutting patterns and, if short, splices.
     """
     genes: list[tuple[int, int]] = []
+    tally = Tally(inst, pats)
     deficits = {
         (c, k): d
         for c, bt in enumerate(inst.beam_types, start=1)
@@ -143,17 +133,12 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
         if freq == 0:
             continue
         genes.append((pattern.id, freq))
+        tally.add(pattern, freq)
         for k, count in enumerate(pattern.counts, start=1):
             key = (pattern.beam_type, k)
             deficits[key] = max(0, deficits[key] - count * freq)
 
-    needed = {g: 0 for g in range(1, inst.num_mold_classes + 1)}
-    for pid, freq in genes:
-        pattern = pats.by_id(pid)
-        bars = inst.beam_types[pattern.beam_type - 1].bars_per_beam
-        needed[pattern.mold_class] += bars * freq
-    remaining = list(inst.stock)
-    produced = {g: 0 for g in needed}
+    needed, produced, used = tally.required, tally.made, tally.used
 
     def addable(pattern) -> int:
         """Max uses without overshooting any class target or the stock."""
@@ -163,11 +148,11 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
             if count > 0
         )
         for w, need in pattern.stock_use:
-            limit = min(limit, remaining[w - 1] // need)
+            limit = min(limit, (inst.stock[w - 1] - used[w]) // need)
         return max(0, limit)
 
     chosen: set[int] = set()
-    for g in sorted(needed):
+    for g in needed:
         for pool in (pats.cutting_producing(g), pats.overlapping_producing(g)):
             candidates = [p for p in pool if p.id not in chosen]
             while produced[g] < needed[g] and candidates:
@@ -176,27 +161,30 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
                 freq = addable(pattern)
                 if freq <= 0:
                     continue
-                for w, need in pattern.stock_use:
-                    remaining[w - 1] -= need * freq
-                for h, count in enumerate(pattern.item_counts, start=1):
-                    produced[h] += count * freq
                 genes.append((pattern.id, freq))
+                tally.add(pattern, freq)
         if produced[g] < needed[g]:
             return None
-    ch = Chromosome(genes)
-    if not classify_infeasibility(ch, inst, pats).feasible:
+    if not tally.report().feasible:
         return None
-    return ch
+    return Chromosome(genes)
 
 
 # -- repair -----------------------------------------------------------------
+#
+# Every fixer changes a gene's frequency only through _set_frequency, so the
+# tally built once by repair stays equal to a fresh tally of the genes.
 
 
-def _trim_packing_surplus(genes, inst, pats):
+def _set_frequency(genes, tally, i, pattern, freq):
+    tally.add(pattern, freq - genes[i][1])
+    genes[i] = (pattern.id, freq)
+
+
+def _trim_packing_surplus(genes, tally, inst, pats):
     """Lower each packing gene, in order, to the least frequency that keeps
     the demand covered given every other gene."""
-    ch = Chromosome(genes)
-    produced = beam_production(ch, inst, pats)
+    produced = tally.beams
     for i, (pid, freq) in enumerate(genes):
         pattern = pats.by_id(pid)
         if not isinstance(pattern, PackingPattern) or freq == 0:
@@ -211,19 +199,16 @@ def _trim_packing_surplus(genes, inst, pats):
             if missing > 0:
                 minimal = max(minimal, -(-missing // count))
         if minimal < freq:
-            for k, count in enumerate(pattern.counts, start=1):
-                produced[(pattern.beam_type, k)] -= (freq - minimal) * count
-            genes[i] = (pid, minimal)
+            _set_frequency(genes, tally, i, pattern, minimal)
 
 
-def _fix_demand(genes, inst, pats):
+def _fix_demand(genes, tally, inst, pats):
     """Raise frequencies of covering packing genes until every demand is met.
 
     Returns False when some demanded length is covered by no gene.
     """
+    produced = tally.beams
     while True:
-        ch = Chromosome([gene for gene in genes if gene[1] > 0])
-        produced = beam_production(ch, inst, pats)
         progress = False
         satisfied = True
         for c, bt in enumerate(inst.beam_types, start=1):
@@ -240,8 +225,7 @@ def _fix_demand(genes, inst, pats):
                         and pattern.counts[k - 1] > 0
                     ):
                         extra = -(-missing // pattern.counts[k - 1])
-                        genes[i] = (pid, freq + extra)
-                        produced = beam_production(Chromosome(genes), inst, pats)
+                        _set_frequency(genes, tally, i, pattern, freq + extra)
                         progress = True
                         break
         if satisfied:
@@ -250,25 +234,22 @@ def _fix_demand(genes, inst, pats):
             return False
 
 
-def _fix_stock(genes, inst, pats):
+def _fix_stock(genes, tally, inst, pats):
     """Reduce cutting, then overlapping, frequencies until stock holds."""
-    for w in range(1, inst.num_bar_kinds + inst.num_leftover_kinds + 1):
-        usage = bar_usage(Chromosome(genes), inst, pats)[w]
-        if usage <= inst.stock[w - 1]:
+    usage = tally.used
+    for w in usage:
+        stock = inst.stock[w - 1]
+        if usage[w] <= stock:
             continue
         for i, (pid, freq) in enumerate(genes):
             pattern = pats.by_id(pid)
             if not isinstance(pattern, CuttingPattern) or pattern.source_bar != w or freq == 0:
                 continue
-            over = usage - inst.stock[w - 1]
-            cut = min(freq, over)
-            genes[i] = (pid, freq - cut)
-            usage -= cut
-            if usage <= inst.stock[w - 1]:
+            cut = min(freq, usage[w] - stock)
+            _set_frequency(genes, tally, i, pattern, freq - cut)
+            if usage[w] <= stock:
                 break
-        if usage <= inst.stock[w - 1]:
-            continue
-        if w <= inst.num_bar_kinds:
+        if usage[w] <= stock or w <= inst.num_bar_kinds:
             continue
         v = w - inst.num_bar_kinds
         for i, (pid, freq) in enumerate(genes):
@@ -278,32 +259,22 @@ def _fix_stock(genes, inst, pats):
             per_use = pattern.leftover_counts[v - 1]
             if per_use == 0:
                 continue
-            over = usage - inst.stock[w - 1]
-            cut = min(freq, over // per_use)
-            genes[i] = (pid, freq - cut)
-            usage -= cut * per_use
-            if usage <= inst.stock[w - 1]:
+            cut = min(freq, (usage[w] - stock) // per_use)
+            _set_frequency(genes, tally, i, pattern, freq - cut)
+            if usage[w] <= stock:
                 break
 
 
-def _fix_balance(genes, inst, pats):
+def _fix_balance(genes, tally, inst, pats):
     """Align produced bars with required bars class by class.
 
     Only frequencies of genes already present are adjusted; surplus is cut
     first from single-class cutting genes, then splices; deficits are filled
     the same way within the remaining stock.
     """
-    for g in range(1, inst.num_mold_classes + 1):
-        def state():
-            ch = Chromosome([gene for gene in genes if gene[1] > 0])
-            return (
-                bars_produced(ch, inst, pats)[g],
-                bars_required(ch, inst, pats)[g],
-                bar_usage(ch, inst, pats),
-            )
-
-        produced, required, _ = state()
-        if produced > required:
+    made, usage = tally.made, tally.used
+    for g, required in tally.required.items():
+        if made[g] > required:
             for i, (pid, freq) in enumerate(genes):
                 pattern = pats.by_id(pid)
                 if (
@@ -313,14 +284,13 @@ def _fix_balance(genes, inst, pats):
                     or pattern.total_items != pattern.item_counts[g - 1]
                 ):
                     continue
-                over = produced - required
+                over = made[g] - required
                 if over <= 0:
                     break
                 per_use = pattern.item_counts[g - 1]
                 cut = min(freq, -(-over // per_use))
-                genes[i] = (pid, freq - cut)
-                produced -= cut * per_use
-        if produced > required:
+                _set_frequency(genes, tally, i, pattern, freq - cut)
+        if made[g] > required:
             for i, (pid, freq) in enumerate(genes):
                 pattern = pats.by_id(pid)
                 if (
@@ -329,13 +299,12 @@ def _fix_balance(genes, inst, pats):
                     or pattern.produced_class != g
                 ):
                     continue
-                over = produced - required
+                over = made[g] - required
                 if over <= 0:
                     break
                 cut = min(freq, over)
-                genes[i] = (pid, freq - cut)
-                produced -= cut
-        if produced < required:
+                _set_frequency(genes, tally, i, pattern, freq - cut)
+        if made[g] < required:
             for i, (pid, freq) in enumerate(genes):
                 pattern = pats.by_id(pid)
                 if (
@@ -344,30 +313,26 @@ def _fix_balance(genes, inst, pats):
                     or pattern.total_items != pattern.item_counts[g - 1]
                 ):
                     continue
-                missing = required - produced
+                missing = required - made[g]
                 if missing <= 0:
                     break
                 per_use = pattern.item_counts[g - 1]
-                _, _, usage = state()
                 room = inst.stock[pattern.source_bar - 1] - usage[pattern.source_bar]
                 add = min(missing // per_use, max(0, room))
                 if add > 0:
-                    genes[i] = (pid, freq + add)
-                    produced += add * per_use
-        if produced < required:
+                    _set_frequency(genes, tally, i, pattern, freq + add)
+        if made[g] < required:
             for i, (pid, freq) in enumerate(genes):
                 pattern = pats.by_id(pid)
                 if not isinstance(pattern, OverlappingPattern) or pattern.produced_class != g:
                     continue
-                while produced < required:
-                    _, _, usage = state()
+                while made[g] < required:
                     fits = all(usage[w] + need <= inst.stock[w - 1] for w, need in pattern.stock_use)
                     if not fits:
                         break
                     freq += 1
-                    genes[i] = (pid, freq)
-                    produced += 1
-                if produced >= required:
+                    _set_frequency(genes, tally, i, pattern, freq)
+                if made[g] >= required:
                     break
 
 
@@ -376,24 +341,20 @@ def repair(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chromosome | Non
 
     Unmet demand is fixed first, surplus packing is trimmed (always, so that
     repairing a repaired chromosome is a no-op), then stock overruns, then the
-    bar balance; a final classification decides.
+    bar balance; the tally's final report decides.
     """
     genes = list(ch.genes)
-    report = classify_infeasibility(Chromosome([g for g in genes if g[1] > 0]), inst, pats)
-    if report.type1:
-        if not _fix_demand(genes, inst, pats):
-            return None
-    _trim_packing_surplus(genes, inst, pats)
-    report = classify_infeasibility(Chromosome([g for g in genes if g[1] > 0]), inst, pats)
-    if report.type2:
-        _fix_stock(genes, inst, pats)
-    report = classify_infeasibility(Chromosome([g for g in genes if g[1] > 0]), inst, pats)
-    if report.type3:
-        _fix_balance(genes, inst, pats)
-    result = Chromosome([g for g in genes if g[1] > 0])
-    if not classify_infeasibility(result, inst, pats).feasible:
+    tally = Tally(inst, pats, genes)
+    if tally.report().type1 and not _fix_demand(genes, tally, inst, pats):
         return None
-    return result
+    _trim_packing_surplus(genes, tally, inst, pats)
+    if tally.report().type2:
+        _fix_stock(genes, tally, inst, pats)
+    if tally.report().type3:
+        _fix_balance(genes, tally, inst, pats)
+    if not tally.report().feasible:
+        return None
+    return Chromosome([g for g in genes if g[1] > 0])
 
 
 # -- variation operators ------------------------------------------------------
@@ -508,6 +469,7 @@ def local_search_insert(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chr
 def init_population(
     params: GaParams, inst: Instance, pats: PatternSet, rng: random.Random
 ) -> Population:
+    require_casts_fit(inst)
     members, fitnesses, rejected = _draw_population(
         params.construction_pool, params.population_size, [], [], inst, pats, rng
     )

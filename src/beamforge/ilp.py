@@ -197,8 +197,7 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
             if inst.mold_class_of(m - 1) != g:
                 continue
             for i in admitted[m]:
-                pattern = pats.by_id(i)
-                bars = inst.beam_types[pattern.beam_type - 1].bars_per_beam
+                bars = pats.by_id(i).bars
                 if bars == 0:
                     continue
                 for t in range(1, T + 1):
@@ -279,7 +278,7 @@ def induced_assignment(model: IlpModel, ch: Chromosome, schedule: Schedule | Non
             duration = pats.by_id(pid).duration
             for t in range(start + 1, start + duration):
                 x[(0, m, t)] = 1
-    z = {t: int(schedule.used_periods[t - 1]) for t in model.z_keys}
+    z = {t: int(t <= schedule.makespan) for t in model.z_keys}
     cuts = {p.id: 0 for p in pats.cutting}
     overlaps = {p.id: 0 for p in pats.overlapping}
     for pid, freq in ch.genes:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
-from .errors import InstanceFormatError, ValidationError
+from .errors import InfeasibleInstanceError, InstanceFormatError, ValidationError
 
 # Candidate beam lengths (cm) used by the random generator.
 BEAM_LENGTH_POOL_CM = (112, 145, 235, 250, 265, 295, 330)
@@ -86,10 +86,19 @@ class Instance:
     overlap_loss: int  # cm lost when two leftovers are spliced
     weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     distinct_mold_lengths: list[int] = field(init=False)
+    mold_classes: tuple[int, ...] = field(init=False)  # 1-based class of each mold
+    class_molds: tuple[tuple[int, ...], ...] = field(init=False)  # 0-based molds per class
 
     def __post_init__(self):
         self.weights = tuple(float(w) for w in self.weights)
         self.distinct_mold_lengths = sorted(set(self.mold_lengths))
+        self.mold_classes = tuple(
+            self.distinct_mold_lengths.index(cap) + 1 for cap in self.mold_lengths
+        )
+        self.class_molds = tuple(
+            tuple(m for m, g in enumerate(self.mold_classes) if g == h)
+            for h in range(1, len(self.distinct_mold_lengths) + 1)
+        )
 
     # -- derived views ----------------------------------------------------
 
@@ -99,12 +108,11 @@ class Instance:
 
     def mold_class_of(self, mold_index: int) -> int:
         """1-based class of a 0-based mold index."""
-        return self.distinct_mold_lengths.index(self.mold_lengths[mold_index]) + 1
+        return self.mold_classes[mold_index]
 
-    def molds_in_class(self, mold_class: int) -> list[int]:
+    def molds_in_class(self, mold_class: int) -> tuple[int, ...]:
         """0-based mold indices whose length is the given 1-based class."""
-        length = self.distinct_mold_lengths[mold_class - 1]
-        return [m for m, cap in enumerate(self.mold_lengths) if cap == length]
+        return self.class_molds[mold_class - 1]
 
     @property
     def max_curing_time(self) -> int:
@@ -116,6 +124,16 @@ class Instance:
     def leftover_length(self, kind: int) -> int:
         """Length (cm) of the 1-based leftover kind."""
         return self.bar_lengths[self.num_bar_kinds + kind - 1]
+
+
+def require_casts_fit(inst: Instance) -> None:
+    """Raise when a demanded beam type cures longer than the horizon, so no
+    cast of it can ever finish."""
+    for c, bt in enumerate(inst.beam_types, start=1):
+        if any(bt.demands) and bt.curing_time > inst.horizon:
+            raise InfeasibleInstanceError(
+                f"beam type {c}: curing {bt.curing_time} exceeds the horizon {inst.horizon}"
+            )
 
 
 def validate_instance(inst: Instance) -> list[str]:

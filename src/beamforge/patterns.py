@@ -25,6 +25,7 @@ class PackingPattern:
     mold_class: int  # 1-based class the pattern is maximal for
     used_capacity: int  # cm
     duration: int  # periods (curing time of the beam type)
+    bars: int  # mold-length bars of its class that one use needs
 
 
 # Objective waste buckets, each an index into Instance.weights: cuts of new
@@ -177,6 +178,7 @@ def enumerate_packing_patterns(inst: Instance, maximal_only: bool = True) -> lis
     """All packing patterns, maximal for their mold class unless disabled."""
     out = []
     for pid, (c, g, counts, used) in enumerate(_packing_tuples(inst, maximal_only), start=1):
+        bt = inst.beam_types[c - 1]
         out.append(
             PackingPattern(
                 id=pid,
@@ -184,7 +186,8 @@ def enumerate_packing_patterns(inst: Instance, maximal_only: bool = True) -> lis
                 counts=counts,
                 mold_class=g,
                 used_capacity=used,
-                duration=inst.beam_types[c - 1].curing_time,
+                duration=bt.curing_time,
+                bars=bt.bars_per_beam,
             )
         )
     return out

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from beamforge.cli import dispatch, render_gantt
 from beamforge.evaluation import Chromosome, decode_schedule
+from beamforge.instance import generate_instance, serialize_instance
 
 from conftest import CWP000_DOC, cwp000_optimal_genes, find_packing
 
@@ -81,6 +83,16 @@ class TestExitCodes:
         path = tmp_path / "stuck.json"
         path.write_text(json.dumps(doc))
         assert dispatch(["bound", "--instance", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["bound", "solve"])
+    def test_cast_longer_than_horizon_is_code_two(self, tmp_path, capsys, command):
+        doc = dict(CWP000_DOC)
+        doc["beam_types"] = [dict(doc["beam_types"][0], curing=4)]
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch([command, "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "beamforge: beam type 1: curing 4 exceeds the horizon 3\n"
 
     def test_unknown_flag_rejected(self, instance_file, capsys):
         code = dispatch(["bound", "--instance", instance_file, "--nope"])
@@ -204,6 +216,25 @@ class TestSolve:
         assert dispatch([*base, "--out", a]) == 0
         assert dispatch([*base, "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize(
+        "crs, digest",
+        [
+            ("1", "7eb16cec1e847315a0fd3bc5a4971fc1a3172e7afcbed7b9f9602a58bb719f34"),
+            ("2", "f5f03c4ae766c477055bb8a1c1c65ade0c7fbfbc85d476d125c732e677d284a0"),
+        ],
+    )
+    def test_pinned_output_bytes(self, tmp_path, capsys, crs, digest):
+        # Fixed-seed output of both crossovers; a change that alters the
+        # search, repair or evaluation arithmetic changes these digests.
+        path = tmp_path / "g7_1_5.json"
+        path.write_text(serialize_instance(generate_instance(7, 1, 5)))
+        code = dispatch(
+            ["solve", "--instance", str(path), "--seed", "3", "--ng-mult", "60",
+             "--as-mult", "20", "--crs", crs]
+        )
+        assert code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestBench:

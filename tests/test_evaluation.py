@@ -5,12 +5,14 @@ import pytest
 from beamforge.errors import HorizonError, InfeasibleChromosomeError, UnknownPatternError
 from beamforge.evaluation import (
     Chromosome,
+    Tally,
     classify_infeasibility,
     decode_schedule,
     exhaustive_optimum,
     fitness,
     fitness_cm,
 )
+from beamforge.instance import generate_instance
 from beamforge.patterns import generate_patterns
 
 from conftest import (
@@ -29,13 +31,11 @@ class TestDecode:
         schedule = decode_schedule(Chromosome(genes), cwp000, cwp000_patterns)
         assert schedule.loads == [1, 1, 1, 1, 2]
         assert schedule.makespan == 2
-        assert schedule.used_periods == [True, True, False]
-        assert schedule.bar_requirements == {1: 4, 2: 2}
+        assert Tally(cwp000, cwp000_patterns, genes).required == {1: 4, 2: 2}
 
     def test_empty_chromosome(self, cwp000, cwp000_patterns):
         schedule = decode_schedule(Chromosome([]), cwp000, cwp000_patterns)
         assert schedule.makespan == 0
-        assert schedule.used_periods == [False, False, False]
 
     def test_horizon_overflow(self, cwp000, cwp000_patterns):
         genes = [(find_packing(cwp000_patterns, 1, (1, 3)).id, 4)]
@@ -114,6 +114,7 @@ class TestClassify:
         assert report.type1  # the 3.3 m demand is short
         assert report.type3  # long bars are overproduced
         assert not report.type2
+        assert report.balance_mismatch == {2: (2, 0)}
 
     def test_stock_blowout(self, cwp000, cwp000_patterns):
         genes = cwp000_optimal_genes(cwp000_patterns)
@@ -122,6 +123,35 @@ class TestClassify:
         report = classify_infeasibility(Chromosome(genes), cwp000, cwp000_patterns)
         assert report.type2
         assert report.stock_excess == {4: 99 - 25}
+
+    def test_unknown_id(self, cwp000, cwp000_patterns):
+        with pytest.raises(UnknownPatternError):
+            classify_infeasibility(Chromosome([(999, 1)]), cwp000, cwp000_patterns)
+
+
+class TestTally:
+    @pytest.mark.parametrize("which", ["cwp000", "generated"])
+    def test_updates_match_a_fresh_tally(self, cwp000, cwp000_patterns, which):
+        if which == "cwp000":
+            inst, pats = cwp000, cwp000_patterns
+        else:
+            inst = generate_instance(7, 2, 15)
+            pats = generate_patterns(inst)
+        rng = random.Random(11)
+        ids = list(range(1, pats.total + 1))
+        freqs = dict.fromkeys(ids, 0)
+        tally = Tally(inst, pats)
+        for _ in range(400):
+            pid = rng.choice(ids)
+            delta = rng.randint(-freqs[pid], 6)
+            tally.add(pats.by_id(pid), delta)
+            freqs[pid] += delta
+        fresh = Tally(inst, pats, [(pid, f) for pid, f in freqs.items() if f > 0])
+        assert tally.beams == fresh.beams
+        assert tally.used == fresh.used
+        assert tally.made == fresh.made
+        assert tally.required == fresh.required
+        assert any(tally.beams.values()) and any(tally.used.values())
 
 
 class TestOracle:

@@ -37,8 +37,8 @@ class TestParse:
         assert cwp000.num_mold_classes == 2
         assert cwp000.mold_class_of(0) == 1
         assert cwp000.mold_class_of(4) == 2
-        assert cwp000.molds_in_class(1) == [0, 1, 2, 3]
-        assert cwp000.molds_in_class(2) == [4]
+        assert cwp000.molds_in_class(1) == (0, 1, 2, 3)
+        assert cwp000.molds_in_class(2) == (4,)
 
     def test_zero_demand_is_valid(self):
         doc = dict(CWP000_DOC)

@@ -138,7 +138,8 @@ class TestContains:
         p3 = cwp000_patterns.packing[2]  # (10, 0)
         p4 = cwp000_patterns.packing[3]  # (7, 1)
         smaller = p3.__class__(
-            id=99, beam_type=1, counts=(9, 0), mold_class=2, used_capacity=1008, duration=1
+            id=99, beam_type=1, counts=(9, 0), mold_class=2, used_capacity=1008, duration=1,
+            bars=1,
         )
         assert contains(p3, smaller)
         assert not contains(p3, p4)
