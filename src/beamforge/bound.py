@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnproducibleClassError
-from .instance import Instance, require_casts_fit
-from .patterns import PatternSet
+from .instance import Instance
+from .patterns import PatternSet, require_castable
 
 
 @dataclass
@@ -52,7 +52,7 @@ def candidate_ratios(inst: Instance, pats: PatternSet, mold_class: int) -> set[F
 
 def lower_bound(inst: Instance, pats: PatternSet) -> BoundBreakdown:
     """Evaluate the bound; exact integer ceilings on centimeter data."""
-    require_casts_fit(inst)
+    require_castable(inst, pats)
     work = sum(
         bt.curing_time * sum(l * d for l, d in zip(bt.lengths, bt.demands))
         for bt in inst.beam_types

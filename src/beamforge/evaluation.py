@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapreplace
 
 from .errors import (
     BudgetExceededError,
@@ -202,42 +203,91 @@ def classify_infeasibility(ch: Chromosome, inst: Instance, pats: PatternSet) -> 
     return Tally(inst, pats, ch.genes).report()
 
 
-def decode_schedule(ch: Chromosome, inst: Instance, pats: PatternSet) -> Schedule:
-    """Turn gene frequencies into a mold/period plan.
+def mold_heaps(inst: Instance) -> list[list[tuple[int, int]]]:
+    """One heap of (load, mold index) per mold class, every mold still empty."""
+    return [[(0, m) for m in molds] for molds in inst.class_molds]
 
-    Genes are scanned in order; every use of a packing gene goes, one at a
-    time, to the currently least-loaded mold of its length class (ties to the
-    lowest mold index).  Occupied periods therefore form a prefix per mold.
+
+def place(heap, duration: int, uses: int, horizon: int, starts=None) -> int:
+    """Cast up to `uses` times for `duration` periods on the molds of one heap.
+
+    Each cast goes to the least-loaded mold, ties to the lowest mold index,
+    so occupied periods form a prefix per mold.  Placing stops at the first
+    cast that would end after `horizon` (no other mold could take it either).
+    Returns the number of casts placed; appends each one's (mold index, start
+    period) to `starts` when given.
     """
-    loads = [0] * inst.num_molds
-    assignments: list[list[tuple[int, int]]] = [[] for _ in range(inst.num_molds)]
+    for placed in range(uses):
+        load, mold = heap[0]
+        end = load + duration
+        if end > horizon:
+            return placed
+        heapreplace(heap, (end, mold))
+        if starts is not None:
+            starts.append((mold, load + 1))
+    return uses
+
+
+def _place_genes(ch: Chromosome, inst: Instance, pats: PatternSet, assignments=None):
+    """Place every packing use of the genes, in order; the per-class heaps.
+
+    Appends (pattern id, start period) per use to `assignments[mold]` when
+    given; raises HorizonError at the first use that does not fit.
+    """
+    heaps = mold_heaps(inst)
     for pid, freq in ch.genes:
         if pid not in pats:
             raise UnknownPatternError(f"unknown pattern id {pid}")
         pattern = pats.by_id(pid)
         if not isinstance(pattern, PackingPattern):
             continue
-        molds = inst.molds_in_class(pattern.mold_class)
-        for _ in range(freq):
-            target = min(molds, key=lambda m: loads[m])
-            start = loads[target] + 1
-            if loads[target] + pattern.duration > inst.horizon:
-                raise HorizonError(
-                    f"pattern {pid} cannot finish within the horizon "
-                    f"(mold {target + 1} load {loads[target]}, duration {pattern.duration})"
-                )
-            assignments[target].append((pid, start))
-            loads[target] += pattern.duration
-    makespan = max(loads) if loads else 0
+        heap = heaps[pattern.mold_class - 1]
+        starts = None if assignments is None else []
+        if place(heap, pattern.duration, freq, inst.horizon, starts) < freq:
+            load, mold = heap[0]
+            raise HorizonError(
+                f"pattern {pid} cannot finish within the horizon "
+                f"(mold {mold + 1} load {load}, duration {pattern.duration})"
+            )
+        for mold, start in starts or ():
+            assignments[mold].append((pid, start))
+    return heaps
+
+
+def plan_makespan(ch: Chromosome, inst: Instance, pats: PatternSet) -> int:
+    """The decoded plan's makespan, without building its Schedule."""
+    return max(load for heap in _place_genes(ch, inst, pats) for load, _ in heap)
+
+
+def decode_schedule(ch: Chromosome, inst: Instance, pats: PatternSet) -> Schedule:
+    """Turn gene frequencies into a mold/period plan.
+
+    Genes are scanned in order; every use of a packing gene goes, one at a
+    time, to the currently least-loaded mold of its length class (`place`).
+    """
+    assignments: list[list[tuple[int, int]]] = [[] for _ in range(inst.num_molds)]
+    loads = [0] * inst.num_molds
+    for heap in _place_genes(ch, inst, pats, assignments):
+        for load, mold in heap:
+            loads[mold] = load
     w2, w3, w4 = waste_buckets_cm(ch, inst, pats)
     return Schedule(
         assignments=assignments,
         loads=loads,
-        makespan=makespan,
+        makespan=max(loads),
         new_bar_waste_cm=w2,
         new_leftover_waste_cm=w3,
         reuse_waste_cm=w4,
         weights=inst.weights,
+    )
+
+
+def score(ch: Chromosome, inst: Instance, pats: PatternSet) -> float:
+    """The objective `evaluate` would give, without classifying the plan or
+    building its Schedule: for plans already known to be feasible.  Raises
+    HorizonError like the decoder."""
+    return combine_objective(
+        inst.weights, plan_makespan(ch, inst, pats), *waste_buckets_cm(ch, inst, pats)
     )
 
 
@@ -293,29 +343,21 @@ def _min_makespan_order(
     """
     ordered: list[Gene] = []
     worst = 0
+    heaps = mold_heaps(inst)
     for g, genes in sorted(class_genes.items()):
         if not genes:
             continue
-        molds = inst.molds_in_class(g)
         best_ms: int | None = None
         best_perm: tuple[Gene, ...] | None = None
         for perm in itertools.permutations(genes):
             budget.tick()
-            loads = [0] * len(molds)
-            feasible = True
-            for pid, freq in perm:
-                duration = pats.by_id(pid).duration
-                for _ in range(freq):
-                    i = loads.index(min(loads))
-                    if loads[i] + duration > inst.horizon:
-                        feasible = False
-                        break
-                    loads[i] += duration
-                if not feasible:
-                    break
-            if not feasible:
+            heap = list(heaps[g - 1])
+            if not all(
+                place(heap, pats.by_id(pid).duration, freq, inst.horizon) == freq
+                for pid, freq in perm
+            ):
                 continue
-            ms = max(loads)
+            ms = max(load for load, _ in heap)
             if best_ms is None or ms < best_ms:
                 best_ms, best_perm = ms, perm
         if best_ms is None:

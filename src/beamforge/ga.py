@@ -13,9 +13,25 @@ import random
 from dataclasses import dataclass
 
 from .errors import HorizonError, InfeasibleInstanceError
-from .evaluation import Chromosome, Gene, Schedule, Tally, decode_schedule, evaluate
-from .instance import Instance, require_casts_fit
-from .patterns import CuttingPattern, OverlappingPattern, PackingPattern, PatternSet
+from .evaluation import (
+    Chromosome,
+    Gene,
+    Schedule,
+    Tally,
+    evaluate,
+    mold_heaps,
+    place,
+    plan_makespan,
+    score,
+)
+from .instance import Instance
+from .patterns import (
+    CuttingPattern,
+    OverlappingPattern,
+    PackingPattern,
+    PatternSet,
+    require_castable,
+)
 
 
 @dataclass
@@ -104,9 +120,10 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
         for c, bt in enumerate(inst.beam_types, start=1)
         for k, d in enumerate(bt.demands, start=1)
     }
-    loads = {g: [0] * len(inst.molds_in_class(g)) for g in range(1, inst.num_mold_classes + 1)}
+    short = sum(1 for d in deficits.values() if d > 0)
+    heaps = mold_heaps(inst)
     unpicked = list(pats.packing)
-    while any(v > 0 for v in deficits.values()):
+    while short:
         if not unpicked:
             return None
         pattern = unpicked.pop(rng.randrange(len(unpicked)))
@@ -122,20 +139,15 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
             if count > 0 and deficits[(pattern.beam_type, k)] > 0
         )
         # Cap the uses so each one still finishes within the horizon.
-        class_loads = loads[pattern.mold_class]
-        freq = 0
-        for _ in range(wanted):
-            i = class_loads.index(min(class_loads))
-            if class_loads[i] + pattern.duration > inst.horizon:
-                break
-            class_loads[i] += pattern.duration
-            freq += 1
+        freq = place(heaps[pattern.mold_class - 1], pattern.duration, wanted, inst.horizon)
         if freq == 0:
             continue
         genes.append((pattern.id, freq))
         tally.add(pattern, freq)
         for k, count in enumerate(pattern.counts, start=1):
             key = (pattern.beam_type, k)
+            if 0 < deficits[key] <= count * freq:
+                short -= 1
             deficits[key] = max(0, deficits[key] - count * freq)
 
     needed, produced, used = tally.required, tally.made, tally.used
@@ -444,7 +456,7 @@ def local_search_insert(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chr
     """One pass of insert moves, keeping the best strict makespan improvement."""
     best = ch
     try:
-        best_makespan = decode_schedule(ch, inst, pats).makespan
+        best_makespan = plan_makespan(ch, inst, pats)
     except HorizonError:
         return ch
     n = len(ch.genes)
@@ -455,7 +467,7 @@ def local_search_insert(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chr
             genes.insert(k, gene)
             neighbor = Chromosome(genes)
             try:
-                makespan = decode_schedule(neighbor, inst, pats).makespan
+                makespan = plan_makespan(neighbor, inst, pats)
             except HorizonError:
                 continue
             if makespan < best_makespan:
@@ -469,7 +481,7 @@ def local_search_insert(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chr
 def init_population(
     params: GaParams, inst: Instance, pats: PatternSet, rng: random.Random
 ) -> Population:
-    require_casts_fit(inst)
+    require_castable(inst, pats)
     members, fitnesses, rejected = _draw_population(
         params.construction_pool, params.population_size, [], [], inst, pats, rng
     )
@@ -489,7 +501,7 @@ def _draw_population(pool, size, seed_members, seed_fitnesses, inst, pats, rng):
             rejected += 1
             continue
         try:
-            value, _ = evaluate(ch, inst, pats)
+            value = score(ch, inst, pats)
         except HorizonError:
             rejected += 1
             continue
@@ -519,21 +531,20 @@ def run(inst: Instance, pats: PatternSet, params: GaParams) -> GaResult:
     prev_best = pop.fitnesses[0]
     for generation in range(1, params.generations + 1):
         offspring = _make_offspring(pop, inst, pats, params, rng)
-        if offspring is not None:
+        # A duplicate is never inserted, so it is not scored.
+        if offspring is not None and (key := offspring.key()) not in keys:
             try:
-                value, _ = evaluate(offspring, inst, pats)
+                value = score(offspring, inst, pats)
             except HorizonError:
                 value = None
             if value is not None:
-                key = offspring.key()
-                if key not in keys:
-                    if len(pop.members) < params.population_size:
-                        _insert_sorted(pop, keys, offspring, value, key)
-                    elif value < pop.fitnesses[-1]:
-                        worst = pop.members.pop()
-                        pop.fitnesses.pop()
-                        keys.discard(worst.key())
-                        _insert_sorted(pop, keys, offspring, value, key)
+                if len(pop.members) < params.population_size:
+                    _insert_sorted(pop, keys, offspring, value, key)
+                elif value < pop.fitnesses[-1]:
+                    worst = pop.members.pop()
+                    pop.fitnesses.pop()
+                    keys.discard(worst.key())
+                    _insert_sorted(pop, keys, offspring, value, key)
         best = pop.fitnesses[0]
         if best < prev_best:
             stagnation = 0
@@ -565,15 +576,16 @@ def run(inst: Instance, pats: PatternSet, params: GaParams) -> GaResult:
             stagnation = 0
             prev_best = pop.fitnesses[0]
     # Final polish: reorder genes of every member for a shorter makespan.
+    # Only the plan that is returned is classified and decoded in full.
     polished = []
     for member in pop.members:
         improved_member = local_search_insert(member, inst, pats)
-        value, schedule = evaluate(improved_member, inst, pats)
-        polished.append((value, improved_member.key(), improved_member, schedule))
+        polished.append((score(improved_member, inst, pats), improved_member.key(), improved_member))
     polished.sort(key=lambda item: (item[0], item[1]))
     pop.members = [item[2] for item in polished]
     pop.fitnesses = [item[0] for item in polished]
-    best_value, _, best_member, best_schedule = polished[0]
+    best_member = pop.members[0]
+    best_value, best_schedule = evaluate(best_member, inst, pats)
     return GaResult(
         chromosome=best_member,
         fitness=best_value,

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
-from .errors import InfeasibleInstanceError, InstanceFormatError, ValidationError
+from .errors import InstanceFormatError, ValidationError
 
 # Candidate beam lengths (cm) used by the random generator.
 BEAM_LENGTH_POOL_CM = (112, 145, 235, 250, 265, 295, 330)
@@ -124,16 +124,6 @@ class Instance:
     def leftover_length(self, kind: int) -> int:
         """Length (cm) of the 1-based leftover kind."""
         return self.bar_lengths[self.num_bar_kinds + kind - 1]
-
-
-def require_casts_fit(inst: Instance) -> None:
-    """Raise when a demanded beam type cures longer than the horizon, so no
-    cast of it can ever finish."""
-    for c, bt in enumerate(inst.beam_types, start=1):
-        if any(bt.demands) and bt.curing_time > inst.horizon:
-            raise InfeasibleInstanceError(
-                f"beam type {c}: curing {bt.curing_time} exceeds the horizon {inst.horizon}"
-            )
 
 
 def validate_instance(inst: Instance) -> list[str]:

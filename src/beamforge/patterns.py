@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance
+from .errors import InfeasibleInstanceError
+from .instance import Instance, cm_to_m
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,22 @@ def enumerate_packing_patterns(inst: Instance, maximal_only: bool = True) -> lis
             )
         )
     return out
+
+
+def require_castable(inst: Instance, pats: PatternSet) -> None:
+    """Raise when a demanded beam can never be cast: its type cures longer
+    than the horizon, or its length is in no packing pattern (fits no mold)."""
+    packed = {(p.beam_type, k) for p in pats.packing for k, n in enumerate(p.counts) if n}
+    for c, bt in enumerate(inst.beam_types, start=1):
+        if any(bt.demands) and bt.curing_time > inst.horizon:
+            raise InfeasibleInstanceError(
+                f"beam type {c}: curing {bt.curing_time} exceeds the horizon {inst.horizon}"
+            )
+        for k, (length, demand) in enumerate(zip(bt.lengths, bt.demands)):
+            if demand and (c, k) not in packed:
+                raise InfeasibleInstanceError(
+                    f"beam type {c}: length {cm_to_m(length)} m fits in no mold"
+                )
 
 
 def _cutting_tuples(inst: Instance):

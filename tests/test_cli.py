@@ -94,6 +94,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "beamforge: beam type 1: curing 4 exceeds the horizon 3\n"
 
+    @pytest.mark.parametrize("command", ["bound", "solve", "bench"])
+    def test_length_longer_than_every_mold_is_code_two(self, tmp_path, capsys, command):
+        doc = dict(CWP000_DOC)
+        doc["beam_types"] = [dict(doc["beam_types"][0], lengths=[1.12, 13.0])]
+        (tmp_path / "long.json").write_text(json.dumps(doc))
+        if command == "bench":
+            argv = ["bench", "--instances", str(tmp_path), "--reps", "1", "--seed", "1",
+                    "--out", str(tmp_path / "res.csv"), "--trials", "4", "--no-timing"]
+        else:
+            argv = [command, "--instance", str(tmp_path / "long.json")]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "beamforge: beam type 1: length 13.0 m fits in no mold\n"
+
     def test_unknown_flag_rejected(self, instance_file, capsys):
         code = dispatch(["bound", "--instance", instance_file, "--nope"])
         capsys.readouterr()
@@ -227,14 +241,24 @@ class TestSolve:
     def test_pinned_output_bytes(self, tmp_path, capsys, crs, digest):
         # Fixed-seed output of both crossovers; a change that alters the
         # search, repair or evaluation arithmetic changes these digests.
-        path = tmp_path / "g7_1_5.json"
-        path.write_text(serialize_instance(generate_instance(7, 1, 5)))
-        code = dispatch(
-            ["solve", "--instance", str(path), "--seed", "3", "--ng-mult", "60",
-             "--as-mult", "20", "--crs", crs]
+        out = self.solve_stdout(
+            tmp_path, capsys, (7, 1, 5), "--ng-mult", "60", "--as-mult", "20", "--crs", crs
         )
-        assert code == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_pinned_multi_class_bytes(self, tmp_path, capsys):
+        # Two mold classes (11 and 4 molds) with curing 1 and 2: construction
+        # places casts on more than one class.
+        out = self.solve_stdout(tmp_path, capsys, (7, 2, 15), "--ng-mult", "2", "--as-mult", "3")
+        digest = "690695ed697c9eccee31a7b5cda9847174b2f2fc3bcc596d1007b8205247dc98"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @staticmethod
+    def solve_stdout(tmp_path, capsys, generated, *flags):
+        path = tmp_path / "generated.json"
+        path.write_text(serialize_instance(generate_instance(*generated)))
+        assert dispatch(["solve", "--instance", str(path), "--seed", "3", *flags]) == 0
+        return capsys.readouterr().out
 
 
 class TestBench:

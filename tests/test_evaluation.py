@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamforge.errors import HorizonError, InfeasibleChromosomeError, UnknownPatternError
 from beamforge.evaluation import (
@@ -8,12 +10,16 @@ from beamforge.evaluation import (
     Tally,
     classify_infeasibility,
     decode_schedule,
+    evaluate,
     exhaustive_optimum,
     fitness,
     fitness_cm,
+    plan_makespan,
+    score,
 )
+from beamforge.ga import crossover1, random_solution, repair
 from beamforge.instance import generate_instance
-from beamforge.patterns import generate_patterns
+from beamforge.patterns import PackingPattern, generate_patterns
 
 from conftest import (
     beam_type,
@@ -54,6 +60,88 @@ class TestDecode:
         for m, starts in enumerate(schedule.assignments):
             periods = sorted(t for _, t in starts)
             assert periods == list(range(1, len(periods) + 1))
+
+
+def min_scan_decode(genes, inst, pats):
+    """Reference placement: the least-loaded mold by a scan over the class,
+    ties to the lowest mold index.  Returns (loads, assignments)."""
+    loads = [0] * inst.num_molds
+    assignments = [[] for _ in range(inst.num_molds)]
+    for pid, freq in genes:
+        pattern = pats.by_id(pid)
+        if not isinstance(pattern, PackingPattern):
+            continue
+        molds = inst.molds_in_class(pattern.mold_class)
+        for _ in range(freq):
+            target = min(molds, key=lambda m: loads[m])
+            if loads[target] + pattern.duration > inst.horizon:
+                raise HorizonError(
+                    f"pattern {pid} cannot finish within the horizon "
+                    f"(mold {target + 1} load {loads[target]}, duration {pattern.duration})"
+                )
+            assignments[target].append((pid, loads[target] + 1))
+            loads[target] += pattern.duration
+    return loads, assignments
+
+
+@pytest.fixture(scope="module")
+def two_class():
+    # Two mold classes (11 and 4 molds), curing 1 and 2 periods, horizon 7.
+    inst = generate_instance(7, 2, 15)
+    return inst, generate_patterns(inst)
+
+
+@pytest.fixture(scope="module", params=["cwp000", "two-class"])
+def instance_pair(request, cwp000, cwp000_patterns, two_class):
+    return (cwp000, cwp000_patterns) if request.param == "cwp000" else two_class
+
+
+class TestPlacement:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_heap_matches_min_scan(self, instance_pair, data):
+        inst, pats = instance_pair
+        ids = [p.id for p in pats.packing] + [pats.producers[0].id]
+        genes = data.draw(
+            st.lists(st.tuples(st.sampled_from(ids), st.integers(1, 8)), max_size=12)
+        )
+        ch = Chromosome(genes)
+        try:
+            loads, assignments = min_scan_decode(genes, inst, pats)
+        except HorizonError as expected:
+            for decoder in (decode_schedule, plan_makespan, score):
+                with pytest.raises(HorizonError) as err:
+                    decoder(ch, inst, pats)
+                assert str(err.value) == str(expected)
+            return
+        schedule = decode_schedule(ch, inst, pats)
+        assert schedule.loads == loads
+        assert schedule.assignments == assignments
+        assert schedule.makespan == plan_makespan(ch, inst, pats) == max(loads)
+
+    def test_score_is_the_evaluated_objective(self, instance_pair):
+        inst, pats = instance_pair
+        rng = random.Random(3)
+        plans = [ch for ch in (random_solution(inst, pats, rng) for _ in range(200)) if ch]
+        ids = list(range(1, pats.total + 1))
+        for a, b in zip(plans[:100], plans[1:101]):
+            plans.append(crossover1(a, b, inst, pats, 0.05, rng))
+        for _ in range(200):
+            genes = [(rng.choice(ids), rng.randint(1, 6)) for _ in range(rng.randint(1, 10))]
+            plans.append(repair(Chromosome(genes), inst, pats))
+        plans = [ch for ch in plans if ch is not None]
+        assert len(plans) > 100
+        scored = 0
+        for ch in plans:
+            try:
+                value = evaluate(ch, inst, pats)[0]
+            except HorizonError:
+                with pytest.raises(HorizonError):
+                    score(ch, inst, pats)
+                continue
+            assert score(ch, inst, pats).hex() == value.hex()
+            scored += 1
+        assert scored > 100
 
 
 class TestFitness:
