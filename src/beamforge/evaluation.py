@@ -45,7 +45,6 @@ class Schedule:
     """Decoded mold-by-period plan with its objective ingredients."""
 
     assignments: list[list[tuple[int, int]]]  # per mold: (pattern id, start period)
-    loads: list[int]  # occupied periods per mold (contiguous prefix)
     makespan: int  # periods 1..makespan are in use
     new_bar_waste_cm: int
     new_leftover_waste_cm: int
@@ -180,6 +179,18 @@ class Tally:
             for g, count in enumerate(pattern.item_counts, start=1):
                 self.made[g] += count * freq
 
+    def room(self, producer) -> int:
+        """Most uses of a cut or splice that overshoot no class's required
+        bars and no stock kind (0 when one is already over)."""
+        stock = self.inst.stock
+        limits = [
+            (self.required[g] - self.made[g]) // count
+            for g, count in enumerate(producer.item_counts, start=1)
+            if count > 0
+        ]
+        limits += [(stock[w - 1] - self.used[w]) // need for w, need in producer.stock_use]
+        return max(0, min(limits))
+
     def report(self) -> InfeasibilityReport:
         inst = self.inst
         report = InfeasibilityReport()
@@ -266,15 +277,11 @@ def decode_schedule(ch: Chromosome, inst: Instance, pats: PatternSet) -> Schedul
     time, to the currently least-loaded mold of its length class (`place`).
     """
     assignments: list[list[tuple[int, int]]] = [[] for _ in range(inst.num_molds)]
-    loads = [0] * inst.num_molds
-    for heap in _place_genes(ch, inst, pats, assignments):
-        for load, mold in heap:
-            loads[mold] = load
+    heaps = _place_genes(ch, inst, pats, assignments)
     w2, w3, w4 = waste_buckets_cm(ch, inst, pats)
     return Schedule(
         assignments=assignments,
-        loads=loads,
-        makespan=max(loads),
+        makespan=max(load for heap in heaps for load, _ in heap),
         new_bar_waste_cm=w2,
         new_leftover_waste_cm=w3,
         reuse_waste_cm=w4,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import HorizonError, InfeasibleInstanceError
@@ -27,7 +28,6 @@ from .evaluation import (
 from .instance import Instance
 from .patterns import (
     CuttingPattern,
-    OverlappingPattern,
     PackingPattern,
     PatternSet,
     require_castable,
@@ -150,19 +150,7 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
                 short -= 1
             deficits[key] = max(0, deficits[key] - count * freq)
 
-    needed, produced, used = tally.required, tally.made, tally.used
-
-    def addable(pattern) -> int:
-        """Max uses without overshooting any class target or the stock."""
-        limit = min(
-            (needed[g] - produced[g]) // count
-            for g, count in enumerate(pattern.item_counts, start=1)
-            if count > 0
-        )
-        for w, need in pattern.stock_use:
-            limit = min(limit, (inst.stock[w - 1] - used[w]) // need)
-        return max(0, limit)
-
+    needed, produced = tally.required, tally.made
     chosen: set[int] = set()
     for g in needed:
         for pool in (pats.cutting_producing(g), pats.overlapping_producing(g)):
@@ -170,8 +158,8 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
             while produced[g] < needed[g] and candidates:
                 pattern = candidates.pop(rng.randrange(len(candidates)))
                 chosen.add(pattern.id)
-                freq = addable(pattern)
-                if freq <= 0:
+                freq = tally.room(pattern)
+                if freq == 0:
                     continue
                 genes.append((pattern.id, freq))
                 tally.add(pattern, freq)
@@ -215,137 +203,86 @@ def _trim_packing_surplus(genes, tally, inst, pats):
 
 
 def _fix_demand(genes, tally, inst, pats):
-    """Raise frequencies of covering packing genes until every demand is met.
+    """Raise the first covering packing gene of each short length, in one pass.
 
-    Returns False when some demanded length is covered by no gene.
+    Each raise covers its length and frequencies only rise, so one pass
+    settles every covered length.  Returns False at the first short length
+    that no gene covers.
     """
     produced = tally.beams
-    while True:
-        progress = False
-        satisfied = True
-        for c, bt in enumerate(inst.beam_types, start=1):
-            for k, demand in enumerate(bt.demands, start=1):
-                missing = demand - produced[(c, k)]
-                if missing <= 0:
-                    continue
-                satisfied = False
-                for i, (pid, freq) in enumerate(genes):
-                    pattern = pats.by_id(pid)
-                    if (
-                        isinstance(pattern, PackingPattern)
-                        and pattern.beam_type == c
-                        and pattern.counts[k - 1] > 0
-                    ):
-                        extra = -(-missing // pattern.counts[k - 1])
-                        _set_frequency(genes, tally, i, pattern, freq + extra)
-                        progress = True
-                        break
-        if satisfied:
-            return True
-        if not progress:
-            return False
+    for c, bt in enumerate(inst.beam_types, start=1):
+        for k, demand in enumerate(bt.demands, start=1):
+            missing = demand - produced[(c, k)]
+            if missing <= 0:
+                continue
+            for i, (pid, freq) in enumerate(genes):
+                pattern = pats.by_id(pid)
+                if (
+                    isinstance(pattern, PackingPattern)
+                    and pattern.beam_type == c
+                    and pattern.counts[k - 1] > 0
+                ):
+                    extra = -(-missing // pattern.counts[k - 1])
+                    _set_frequency(genes, tally, i, pattern, freq + extra)
+                    break
+            else:
+                return False
+    return True
+
+
+def _producer_genes(genes, pats, accepts):
+    """(index, pattern) of the producer genes `accepts` takes: cuts first,
+    then splices, each in gene order."""
+    cuts, splices = [], []
+    for i, (pid, _) in enumerate(genes):
+        pattern = pats.by_id(pid)
+        if not isinstance(pattern, PackingPattern) and accepts(pattern):
+            (cuts if isinstance(pattern, CuttingPattern) else splices).append((i, pattern))
+    return cuts + splices
 
 
 def _fix_stock(genes, tally, inst, pats):
-    """Reduce cutting, then overlapping, frequencies until stock holds."""
+    """Lower the genes that draw each overrun kind, cuts before splices, by
+    whole uses of the excess, until the stock holds."""
     usage = tally.used
     for w in usage:
         stock = inst.stock[w - 1]
         if usage[w] <= stock:
             continue
-        for i, (pid, freq) in enumerate(genes):
-            pattern = pats.by_id(pid)
-            if not isinstance(pattern, CuttingPattern) or pattern.source_bar != w or freq == 0:
-                continue
-            cut = min(freq, usage[w] - stock)
-            _set_frequency(genes, tally, i, pattern, freq - cut)
-            if usage[w] <= stock:
+        for i, pattern in _producer_genes(genes, pats, lambda p: w in dict(p.stock_use)):
+            excess = usage[w] - stock
+            if excess <= 0:
                 break
-        if usage[w] <= stock or w <= inst.num_bar_kinds:
-            continue
-        v = w - inst.num_bar_kinds
-        for i, (pid, freq) in enumerate(genes):
-            pattern = pats.by_id(pid)
-            if not isinstance(pattern, OverlappingPattern) or freq == 0:
-                continue
-            per_use = pattern.leftover_counts[v - 1]
-            if per_use == 0:
-                continue
-            cut = min(freq, (usage[w] - stock) // per_use)
-            _set_frequency(genes, tally, i, pattern, freq - cut)
-            if usage[w] <= stock:
-                break
+            freq = genes[i][1]
+            need = dict(pattern.stock_use)[w]
+            _set_frequency(genes, tally, i, pattern, freq - min(freq, excess // need))
 
 
 def _fix_balance(genes, tally, inst, pats):
     """Align produced bars with required bars class by class.
 
-    Only frequencies of genes already present are adjusted; surplus is cut
-    first from single-class cutting genes, then splices; deficits are filled
-    the same way within the remaining stock.
+    Only genes already present that make class g alone are adjusted, cuts
+    before splices: surplus is cut in whole uses, then a deficit is filled
+    with each gene's room (`Tally.room`).
     """
-    made, usage = tally.made, tally.used
+    made = tally.made
     for g, required in tally.required.items():
-        if made[g] > required:
-            for i, (pid, freq) in enumerate(genes):
-                pattern = pats.by_id(pid)
-                if (
-                    not isinstance(pattern, CuttingPattern)
-                    or freq == 0
-                    or pattern.item_counts[g - 1] == 0
-                    or pattern.total_items != pattern.item_counts[g - 1]
-                ):
-                    continue
-                over = made[g] - required
-                if over <= 0:
-                    break
-                per_use = pattern.item_counts[g - 1]
-                cut = min(freq, -(-over // per_use))
-                _set_frequency(genes, tally, i, pattern, freq - cut)
-        if made[g] > required:
-            for i, (pid, freq) in enumerate(genes):
-                pattern = pats.by_id(pid)
-                if (
-                    not isinstance(pattern, OverlappingPattern)
-                    or freq == 0
-                    or pattern.produced_class != g
-                ):
-                    continue
-                over = made[g] - required
-                if over <= 0:
-                    break
-                cut = min(freq, over)
-                _set_frequency(genes, tally, i, pattern, freq - cut)
-        if made[g] < required:
-            for i, (pid, freq) in enumerate(genes):
-                pattern = pats.by_id(pid)
-                if (
-                    not isinstance(pattern, CuttingPattern)
-                    or pattern.item_counts[g - 1] == 0
-                    or pattern.total_items != pattern.item_counts[g - 1]
-                ):
-                    continue
-                missing = required - made[g]
-                if missing <= 0:
-                    break
-                per_use = pattern.item_counts[g - 1]
-                room = inst.stock[pattern.source_bar - 1] - usage[pattern.source_bar]
-                add = min(missing // per_use, max(0, room))
-                if add > 0:
-                    _set_frequency(genes, tally, i, pattern, freq + add)
-        if made[g] < required:
-            for i, (pid, freq) in enumerate(genes):
-                pattern = pats.by_id(pid)
-                if not isinstance(pattern, OverlappingPattern) or pattern.produced_class != g:
-                    continue
-                while made[g] < required:
-                    fits = all(usage[w] + need <= inst.stock[w - 1] for w, need in pattern.stock_use)
-                    if not fits:
-                        break
-                    freq += 1
-                    _set_frequency(genes, tally, i, pattern, freq)
-                if made[g] >= required:
-                    break
+        if made[g] == required:
+            continue
+        candidates = _producer_genes(
+            genes, pats, lambda p: p.item_counts[g - 1] == p.total_items
+        )
+        for i, pattern in candidates:
+            over = made[g] - required
+            if over <= 0:
+                break
+            freq = genes[i][1]
+            per_use = pattern.item_counts[g - 1]
+            _set_frequency(genes, tally, i, pattern, freq - min(freq, -(-over // per_use)))
+        for i, pattern in candidates:
+            if made[g] >= required:
+                break
+            _set_frequency(genes, tally, i, pattern, genes[i][1] + tally.room(pattern))
 
 
 def repair(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chromosome | None:
@@ -597,9 +534,7 @@ def run(inst: Instance, pats: PatternSet, params: GaParams) -> GaResult:
 
 
 def _insert_sorted(pop: Population, keys: set, ch: Chromosome, value: float, key) -> None:
-    idx = 0
-    while idx < len(pop.fitnesses) and pop.fitnesses[idx] <= value:
-        idx += 1
+    idx = bisect_right(pop.fitnesses, value)
     pop.members.insert(idx, ch)
     pop.fitnesses.insert(idx, value)
     keys.add(key)

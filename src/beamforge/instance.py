@@ -11,7 +11,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 
 from .errors import InstanceFormatError, ValidationError
 
@@ -34,11 +34,6 @@ def meters_to_cm(value) -> int:
         dec = Decimal(value)
     elif isinstance(value, float):
         dec = Decimal(str(value))
-    elif isinstance(value, str):
-        try:
-            dec = Decimal(value)
-        except InvalidOperation as exc:
-            raise InstanceFormatError(f"not a number: {value!r}") from exc
     else:
         raise InstanceFormatError(f"expected a number, got {value!r}")
     scaled = dec * 100

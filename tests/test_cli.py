@@ -45,9 +45,12 @@ class TestExitCodes:
             {"lambda": [None, 1, 1, 1]},
             {"lambda": [float("nan"), 1, 1, 1]},
             {"molds": [float("inf"), 5.95, 5.95, 5.95, 11.95]},
+            {"molds": ["5.95", 5.95, 5.95, 5.95, 11.95]},
+            {"epsilon": "0.3"},
         ],
         ids=["negative-stock", "curing-string", "curing-float", "curing-null",
-             "bars-per-beam-null", "lambda-null", "lambda-nan", "mold-infinite"],
+             "bars-per-beam-null", "lambda-null", "lambda-nan", "mold-infinite",
+             "mold-string", "epsilon-string"],
     )
     def test_bad_content_is_validation_error(self, tmp_path, capsys, change):
         path = tmp_path / "bad.json"

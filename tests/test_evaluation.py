@@ -35,7 +35,7 @@ class TestDecode:
         genes = [(find_packing(cwp000_patterns, 1, (2, 1)).id, 4),
                  (find_packing(cwp000_patterns, 1, (1, 3)).id, 2)]
         schedule = decode_schedule(Chromosome(genes), cwp000, cwp000_patterns)
-        assert schedule.loads == [1, 1, 1, 1, 2]
+        assert mold_loads(schedule, cwp000_patterns) == [1, 1, 1, 1, 2]
         assert schedule.makespan == 2
         assert Tally(cwp000, cwp000_patterns, genes).required == {1: 4, 2: 2}
 
@@ -60,6 +60,11 @@ class TestDecode:
         for m, starts in enumerate(schedule.assignments):
             periods = sorted(t for _, t in starts)
             assert periods == list(range(1, len(periods) + 1))
+
+
+def mold_loads(schedule, pats):
+    """Occupied periods per mold, summed from the decoded assignments."""
+    return [sum(pats.by_id(pid).duration for pid, _ in starts) for starts in schedule.assignments]
 
 
 def min_scan_decode(genes, inst, pats):
@@ -115,7 +120,7 @@ class TestPlacement:
                 assert str(err.value) == str(expected)
             return
         schedule = decode_schedule(ch, inst, pats)
-        assert schedule.loads == loads
+        assert mold_loads(schedule, pats) == loads
         assert schedule.assignments == assignments
         assert schedule.makespan == plan_makespan(ch, inst, pats) == max(loads)
 
@@ -240,6 +245,42 @@ class TestTally:
         assert tally.made == fresh.made
         assert tally.required == fresh.required
         assert any(tally.beams.values()) and any(tally.used.values())
+
+    @pytest.mark.parametrize("which", ["cwp000", "generated"])
+    def test_room_fills_to_the_nearest_bound(self, cwp000, cwp000_patterns, which):
+        if which == "cwp000":
+            inst, pats = cwp000, cwp000_patterns
+        else:
+            inst = generate_instance(7, 2, 15)
+            pats = generate_patterns(inst)
+        rng = random.Random(5)
+        ids = list(range(1, pats.total + 1))
+        filled = 0
+        for _ in range(60):
+            genes = [(rng.choice(ids), rng.randint(1, 6)) for _ in range(rng.randint(1, 12))]
+            tally = Tally(inst, pats, genes)
+            for p in pats.producers:
+                classes = [g for g, n in enumerate(p.item_counts, start=1) if n]
+                kinds = [w for w, _ in p.stock_use]
+
+                def holding():
+                    return (
+                        [g for g in classes if tally.made[g] <= tally.required[g]],
+                        [w for w in kinds if tally.used[w] <= inst.stock[w - 1]],
+                    )
+
+                before = holding()
+                room = tally.room(p)
+                tally.add(p, room)
+                assert holding() == before
+                tally.add(p, 1)
+                if before == (classes, kinds):
+                    assert holding() != before
+                else:
+                    assert room == 0
+                tally.add(p, -room - 1)
+                filled += room > 0
+        assert filled > 100
 
 
 class TestOracle:

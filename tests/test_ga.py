@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from beamforge.ga import (
     GaParams,
     coin_union_genes,
     crossover1,
+    crossover2,
     init_population,
     local_search_insert,
     mean_union_genes,
@@ -23,7 +25,7 @@ from beamforge.ga import (
     repair,
     run,
 )
-from beamforge.instance import parse_instance
+from beamforge.instance import generate_instance, parse_instance
 from beamforge.patterns import CuttingPattern, generate_patterns
 
 from conftest import (
@@ -216,6 +218,55 @@ class TestRepair:
             assert classify_infeasibility(repaired, cwp000, pats).feasible
             again = repair(repaired, cwp000, pats)
             assert again is not None and again.genes == repaired.genes
+
+    @pytest.mark.parametrize(
+        "which, digest",
+        [
+            ("cwp000", "83092285495dd9a8e7429a621a36da2f3faacae1a2ce4ef355782f1402aea3b1"),
+            ("two-class", "628a62d393bf91e38b290b0461953bfbd3c875d8b68ec6f7fdfa13409ca46404"),
+        ],
+        ids=["cwp000", "two-class"],
+    )
+    def test_pinned_repair_bytes(self, cwp000, cwp000_patterns, which, digest):
+        # 300 rounds on each instance reach every line of the three fixers.
+        if which == "cwp000":
+            inst, pats = cwp000, cwp000_patterns
+        else:
+            inst = generate_instance(7, 2, 15)
+            pats = generate_patterns(inst)
+        results = repair_batch(inst, pats, random.Random(5), 300)
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
+
+
+def repair_batch(inst, pats, rng, rounds):
+    """Gene lists of repair and variation results, None for a rejection.
+
+    Each round repairs a random gene list, a jittered random_solution plan
+    with extra producer genes, and a plan with scaled frequencies plus one
+    large producer gene; a second set of rounds makes crossover1, crossover2
+    and mutate children of random_solution parents.
+    """
+    ids = list(range(1, pats.total + 1))
+    producer_ids = [p.id for p in pats.producers]
+    parents = [ch for ch in (random_solution(inst, pats, rng) for _ in range(40)) if ch]
+    out = []
+    for _ in range(rounds):
+        genes = [(rng.choice(ids), rng.randint(1, 6)) for _ in range(rng.randint(1, 10))]
+        out.append(repair(Chromosome(genes), inst, pats))
+        base = rng.choice(parents)
+        genes = [(pid, max(1, f + rng.randint(-3, 3))) for pid, f in base.genes if rng.random() > 0.2]
+        genes += [(rng.choice(producer_ids), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        out.append(repair(Chromosome(genes), inst, pats))
+        base = rng.choice(parents)
+        genes = [(pid, f * rng.randint(1, 5)) for pid, f in base.genes]
+        genes.insert(rng.randint(0, len(genes)), (rng.choice(producer_ids), rng.randint(1, 30)))
+        out.append(repair(Chromosome(genes), inst, pats))
+    for _ in range(rounds):
+        a, b = rng.sample(parents, 2)
+        out.append(crossover1(a, b, inst, pats, 0.05, rng))
+        out.append(crossover2(a, b, inst, pats, rng))
+        out.append(mutate(a, inst, pats, rng))
+    return [None if ch is None else ch.genes for ch in out]
 
 
 class TestMutate:
