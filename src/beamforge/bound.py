@@ -1,8 +1,12 @@
 """Analytic lower bound on the optimal objective value.
 
-The bound is the sum of a capacity-based makespan bound and the cheapest
-achievable waste per produced bar, minimized over mold-length classes.  Waste
-ratios are kept as exact fractions of centimeters.
+The bound is lambda1 times a capacity-based makespan bound, plus a bound on
+the weighted waste of the bars a plan must make.  Each producer's waste
+counts at its bucket's lambda, spread over all the bars one use makes.  A
+plan makes at least as many bars as the longest producible class needs, and
+at least the required bar length; the waste bound is the larger of those
+counts at the least ratio per bar and per centimeter.  Weights and ratios are
+exact fractions.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from .patterns import PatternSet, require_castable
 
 @dataclass
 class BoundBreakdown:
-    makespan_lb: int
-    waste_lb_cm: Fraction
-    per_gamma: list[tuple[int, int, Fraction]]  # (class, bar count bound, min ratio cm)
+    makespan_lb: int  # periods
+    waste_lb_cm: Fraction  # weighted
+    per_gamma: list[tuple[int, int, Fraction]]  # (class, bar count bound, min weighted ratio cm)
+    makespan_weight: Fraction = Fraction(1)  # lambda1
 
     @property
     def waste_lb(self) -> float:
@@ -27,24 +32,24 @@ class BoundBreakdown:
 
     @property
     def total(self) -> float:
-        return self.makespan_lb + self.waste_lb
+        return float(self.makespan_weight * self.makespan_lb) + self.waste_lb
 
     @property
     def total_cm(self) -> Fraction:
-        return 100 * self.makespan_lb + self.waste_lb_cm
+        return 100 * self.makespan_weight * self.makespan_lb + self.waste_lb_cm
 
 
 def candidate_ratios(inst: Instance, pats: PatternSet, mold_class: int) -> set[Fraction]:
-    """Waste incurred per bar of the class, over every way of producing one.
+    """Weighted waste per bar made, over every producer of the class.
 
     Covers new-bar cuts with and without a leftover, leftover-bar cuts, and
-    splices; raises when nothing can produce the class.
+    splices.  A cut that makes bars of several classes spreads its waste over
+    all of them; raises when nothing can produce the class.
     """
     ratios: set[Fraction] = set()
     for p in pats.producers:
-        produced = p.item_counts[mold_class - 1]
-        if produced > 0:
-            ratios.add(Fraction(p.waste, produced))
+        if p.item_counts[mold_class - 1] > 0:
+            ratios.add(Fraction(inst.weights[p.bucket]) * Fraction(p.waste, p.total_items))
     if not ratios:
         raise UnproducibleClassError(mold_class)
     return ratios
@@ -68,21 +73,23 @@ def lower_bound(inst: Instance, pats: PatternSet) -> BoundBreakdown:
     if bar_length_needed == 0:
         waste_lb_cm = Fraction(0)
     else:
-        best: Fraction | None = None
-        failures = 0
-        for g, cap in enumerate(inst.distinct_mold_lengths, start=1):
+        caps = inst.distinct_mold_lengths
+        for g, cap in enumerate(caps, start=1):
             try:
-                ratios = candidate_ratios(inst, pats, g)
+                ratio = min(candidate_ratios(inst, pats, g))
             except UnproducibleClassError:
-                failures += 1
                 continue
-            bar_count = -((-bar_length_needed) // cap)
-            ratio = min(ratios)
-            per_gamma.append((g, bar_count, ratio))
-            value = bar_count * ratio
-            if best is None or value < best:
-                best = value
-        if best is None:
+            per_gamma.append((g, -((-bar_length_needed) // cap), ratio))
+        if not per_gamma:
             raise UnproducibleClassError(1)
-        waste_lb_cm = best
-    return BoundBreakdown(makespan_lb=makespan_lb, waste_lb_cm=waste_lb_cm, per_gamma=per_gamma)
+        fewest_bars = min(count for _, count, _ in per_gamma)
+        waste_lb_cm = max(
+            fewest_bars * min(ratio for _, _, ratio in per_gamma),
+            min(Fraction(bar_length_needed, caps[g - 1]) * ratio for g, _, ratio in per_gamma),
+        )
+    return BoundBreakdown(
+        makespan_lb=makespan_lb,
+        waste_lb_cm=waste_lb_cm,
+        per_gamma=per_gamma,
+        makespan_weight=Fraction(inst.weights[0]),
+    )

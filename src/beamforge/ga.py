@@ -120,35 +120,35 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
         for c, bt in enumerate(inst.beam_types, start=1)
         for k, d in enumerate(bt.demands, start=1)
     }
-    short = sum(1 for d in deficits.values() if d > 0)
+    short = {key for key, d in deficits.items() if d > 0}
     heaps = mold_heaps(inst)
+    # Per class, the shortest curing time that no longer fits: mold loads
+    # only grow, so a pattern that cures this long or longer would place 0.
+    blocked = [inst.horizon + 1] * len(heaps)
     unpicked = list(pats.packing)
     while short:
         if not unpicked:
             return None
         pattern = unpicked.pop(rng.randrange(len(unpicked)))
-        covers = any(
-            count > 0 and deficits[(pattern.beam_type, k)] > 0
-            for k, count in enumerate(pattern.counts, start=1)
-        )
-        if not covers:
+        lengths = pats.packed_lengths[pattern.id]
+        if short.isdisjoint(lengths):
             continue
-        wanted = max(
-            -(-deficits[(pattern.beam_type, k)] // count)
-            for k, count in enumerate(pattern.counts, start=1)
-            if count > 0 and deficits[(pattern.beam_type, k)] > 0
-        )
+        g = pattern.mold_class - 1
+        if pattern.duration >= blocked[g]:
+            continue
+        wanted = max(-(-deficits[key] // count) for key, count in lengths.items() if key in short)
         # Cap the uses so each one still finishes within the horizon.
-        freq = place(heaps[pattern.mold_class - 1], pattern.duration, wanted, inst.horizon)
+        freq = place(heaps[g], pattern.duration, wanted, inst.horizon)
+        if freq < wanted:
+            blocked[g] = pattern.duration
         if freq == 0:
             continue
         genes.append((pattern.id, freq))
         tally.add(pattern, freq)
-        for k, count in enumerate(pattern.counts, start=1):
-            key = (pattern.beam_type, k)
-            if 0 < deficits[key] <= count * freq:
-                short -= 1
+        for key, count in lengths.items():
             deficits[key] = max(0, deficits[key] - count * freq)
+            if not deficits[key]:
+                short.discard(key)
 
     needed, produced = tally.required, tally.made
     chosen: set[int] = set()

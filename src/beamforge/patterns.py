@@ -98,6 +98,12 @@ class PatternSet:
             self._by_id[p.id] = p
         for p in self.overlapping:
             self._by_id[p.id] = p
+        # Per packing pattern id, {(beam type, length index): count} of the
+        # lengths it packs (count > 0), both 1-based.
+        self.packed_lengths = {
+            p.id: {(p.beam_type, k): n for k, n in enumerate(p.counts, start=1) if n}
+            for p in self.packing
+        }
 
     @property
     def num_packing(self) -> int:
@@ -197,13 +203,13 @@ def enumerate_packing_patterns(inst: Instance, maximal_only: bool = True) -> lis
 def require_castable(inst: Instance, pats: PatternSet) -> None:
     """Raise when a demanded beam can never be cast: its type cures longer
     than the horizon, or its length is in no packing pattern (fits no mold)."""
-    packed = {(p.beam_type, k) for p in pats.packing for k, n in enumerate(p.counts) if n}
+    packed = set().union(*pats.packed_lengths.values())
     for c, bt in enumerate(inst.beam_types, start=1):
         if any(bt.demands) and bt.curing_time > inst.horizon:
             raise InfeasibleInstanceError(
                 f"beam type {c}: curing {bt.curing_time} exceeds the horizon {inst.horizon}"
             )
-        for k, (length, demand) in enumerate(zip(bt.lengths, bt.demands)):
+        for k, (length, demand) in enumerate(zip(bt.lengths, bt.demands), start=1):
             if demand and (c, k) not in packed:
                 raise InfeasibleInstanceError(
                     f"beam type {c}: length {cm_to_m(length)} m fits in no mold"

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from beamforge.bound import candidate_ratios, lower_bound
 from beamforge.errors import UnproducibleClassError
+from beamforge.evaluation import decode_schedule, exhaustive_optimum
 from beamforge.patterns import generate_patterns
 
 from conftest import beam_type, make_instance
@@ -107,3 +110,79 @@ class TestLowerBound:
             )
             pats = generate_patterns(inst)
             assert lower_bound(inst, pats).total_cm >= base
+
+
+def exact_objective_cm(ch, inst, pats):
+    """The weighted objective of a plan in centi-units, as an exact fraction
+    of the float weights."""
+    schedule = decode_schedule(ch, inst, pats)
+    l1, l2, l3, l4 = (Fraction(w) for w in inst.weights)
+    return (
+        100 * l1 * schedule.makespan
+        + l2 * schedule.new_bar_waste_cm
+        + l3 * schedule.new_leftover_waste_cm
+        + l4 * schedule.reuse_waste_cm
+    )
+
+
+class TestWeightedBound:
+    def test_weights_scale_each_term(self, cwp000, cwp000_patterns):
+        # cwp000's cheapest bars waste 0.05 m each.  Long bars get it only
+        # from a plain new-bar cut (lambda2), short bars also from a cut that
+        # sets a leftover aside (lambda3), which is the cheaper one here.
+        inst = make_instance(
+            beam_types=list(cwp000.beam_types),
+            mold_lengths=list(cwp000.mold_lengths),
+            horizon=3,
+            bar_lengths=tuple(cwp000.bar_lengths),
+            stock=list(cwp000.stock),
+            weights=(0.5, 1.0, 0.25, 1.0),
+        )
+        b = lower_bound(inst, cwp000_patterns)
+        assert b.makespan_lb == 2
+        assert b.per_gamma == [(1, 7, Fraction(5, 4)), (2, 4, Fraction(5))]
+        # The length count (38.6 m at 1.25 cm per 5.95 m) exceeds the bar
+        # count (4 bars at 1.25 cm each).
+        assert b.waste_lb_cm == Fraction(3860, 595) * Fraction(5, 4)
+        assert b.total_cm == 100 * Fraction(1, 2) * 2 + b.waste_lb_cm
+        assert b.total == 1.0 + float(b.waste_lb_cm) / 100
+
+    def test_multi_class_cut_spreads_its_waste(self):
+        # An 18 m bar cut into a short and a long item wastes 0.1 m for two
+        # bars; no other cut makes a long bar for less than 6.05 m.  The plan
+        # of that one cut meets the bound.
+        inst = make_instance(
+            beam_types=[beam_type([330, 1100], [1, 1])],
+            mold_lengths=[595, 1195],
+            horizon=2,
+            bar_lengths=(1800,),
+            num_bar_kinds=1,
+            stock=(5,),
+        )
+        pats = generate_patterns(inst)
+        b = lower_bound(inst, pats)
+        ch, _ = exhaustive_optimum(inst, pats, max_freq=5, max_genes=6)
+        assert b.per_gamma == [(1, 3, Fraction(5)), (2, 2, Fraction(5))]
+        assert b.total_cm == 110 == exact_objective_cm(ch, inst, pats)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lengths=st.lists(st.sampled_from([112, 250, 330, 560]), min_size=1, max_size=2, unique=True),
+        demands=st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=2),
+        new_bar=st.sampled_from([1200, 1800, 2000]),  # 18 and 20 m allow multi-class cuts
+        weights=st.tuples(*[st.floats(min_value=0.1, max_value=1.0)] * 4),
+    )
+    def test_oracle_never_below_the_bound(self, lengths, demands, new_bar, weights):
+        # One beam type on molds [595, 595, 1195] with T=4, random lambda.
+        inst = make_instance(
+            beam_types=[beam_type(lengths, demands[: len(lengths)])],
+            mold_lengths=[595, 595, 1195],
+            horizon=4,
+            bar_lengths=(new_bar, 200, 500, 600, 800),
+            weights=weights,
+        )
+        pats = generate_patterns(inst)
+        bound = lower_bound(inst, pats)
+        result = exhaustive_optimum(inst, pats, max_freq=4, max_genes=4)
+        assume(result is not None)
+        assert exact_objective_cm(result[0], inst, pats) >= bound.total_cm

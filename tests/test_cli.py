@@ -1,7 +1,11 @@
+import copy
 import hashlib
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamforge.cli import dispatch, render_gantt
 from beamforge.evaluation import Chromosome, decode_schedule
@@ -17,16 +21,19 @@ def instance_file(tmp_path, cwp000_text):
     return str(path)
 
 
+# The mini instance: cwp000 with T=2 and demands [2, 3], so a solve is quick.
+MINI_DOC = dict(
+    CWP000_DOC,
+    T=2,
+    beam_types=[{"lengths": [1.12, 3.3], "demands": [2, 3], "curing": 1, "bars_per_beam": 1}],
+)
+
+
 @pytest.fixture()
 def mini_dir(tmp_path):
-    doc = dict(CWP000_DOC)
-    doc["T"] = 2
-    doc["beam_types"] = [
-        {"lengths": [1.12, 3.3], "demands": [2, 3], "curing": 1, "bars_per_beam": 1}
-    ]
     folder = tmp_path / "instances"
     folder.mkdir()
-    (folder / "mini.json").write_text(json.dumps(doc))
+    (folder / "mini.json").write_text(json.dumps(MINI_DOC))
     return str(folder)
 
 
@@ -115,6 +122,71 @@ class TestExitCodes:
         code = dispatch(["bound", "--instance", instance_file, "--nope"])
         capsys.readouterr()
         assert code != 0
+
+
+ODD_VALUES = [None, "x", True, [], {}, -1, -0.5, 0, float("nan"), float("inf"), float("-inf")]
+
+
+def _value_paths(node, path=()):
+    """Key and index paths of every value below the document root."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _value_paths(value, path + (key,))
+
+
+def _lookup(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def mutated_documents(draw):
+    """The mini document after one to three edits: a key or list entry
+    dropped, a value emptied, a value replaced by an odd one (wrong type,
+    negative, zero or non-finite), or a number scaled by 0, 1/2 or 2."""
+    doc = copy.deepcopy(MINI_DOC)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        action = draw(st.sampled_from(["drop", "empty", "replace", "scale", "scale"]))
+        paths = list(_value_paths(doc))
+        if action == "scale":
+            paths = [p for p in paths if _is_number(_lookup(doc, p))]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        parent = _lookup(doc, path[:-1])
+        if action == "drop":
+            del parent[path[-1]]
+        elif action == "empty":
+            parent[path[-1]] = []
+        elif action == "replace":
+            parent[path[-1]] = draw(st.sampled_from(ODD_VALUES))
+        else:
+            value = parent[path[-1]]
+            parent[path[-1]] = type(value)(value * draw(st.sampled_from([0, 0.5, 2])))
+    return doc
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=mutated_documents(), command=st.sampled_from(["bound", "solve"]))
+    def test_mutated_instance_gets_an_exit_code(self, doc, command):
+        extra = ["--ng-mult", "1"] if command == "solve" else []
+        with tempfile.TemporaryDirectory() as folder:
+            path = f"{folder}/fuzz.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            assert dispatch([command, "--instance", path, *extra]) in {0, 1, 2, 3}
 
 
 class TestBound:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from beamforge import ga
 from beamforge.evaluation import (
     Chromosome,
     classify_infeasibility,
@@ -80,6 +81,16 @@ class TestConstruction:
         assert ch is not None and ch.genes == []
         assert fitness(ch, inst, pats) == 0
 
+    def test_curing_as_long_as_the_horizon(self):
+        # Each mold takes exactly one cast that cures for the whole horizon.
+        inst = make_instance(
+            beam_types=[beam_type([330], [2], curing=3)], mold_lengths=[595, 595], horizon=3
+        )
+        pats = generate_patterns(inst)
+        ch = random_solution(inst, pats, random.Random(0))
+        assert ch is not None and feasible_and_schedulable(ch, inst, pats)
+        assert decode_schedule(ch, inst, pats).makespan == 3
+
     def test_multi_class_cuts_selected_once(self):
         # A bar spanning both mold lengths shows up in both class pools; it
         # must still end up as at most one gene.
@@ -121,6 +132,22 @@ class TestConstruction:
                 if isinstance(pattern, CuttingPattern):
                     assert pattern.item_counts[1] == 0  # no long bars from cuts
         assert produced > 0
+
+    def test_pinned_construction_bytes(self, cwp000, cwp000_patterns):
+        # Plans, rejections and the generator state after each batch.
+        batches = []
+        for inst, draws in (
+            (cwp000, 1000),
+            (generate_instance(7, 1, 5), 2000),
+            (generate_instance(7, 2, 15), 3000),
+            (generate_instance(23, 2, 15), 500),
+        ):
+            pats = cwp000_patterns if inst is cwp000 else generate_patterns(inst)
+            rng = random.Random(11)
+            plans = [random_solution(inst, pats, rng) for _ in range(draws)]
+            batches.append(([None if ch is None else ch.genes for ch in plans], rng.getstate()))
+        digest = hashlib.sha256(repr(batches).encode()).hexdigest()
+        assert digest == "b0f318d76191082d89e668560921cf48c06ca60ee1989aace05bf14729c86a37"
 
 
 class TestCrossoverArithmetic:
@@ -337,6 +364,24 @@ class TestInitPopulation:
         assert pop.fitnesses == sorted(pop.fitnesses)
         keys = {m.key() for m in pop.members}
         assert len(keys) == len(pop.members)
+
+    def test_every_draw_goes_through_the_module_function(self, monkeypatch):
+        # perfbench's ga.construct span wraps ga.random_solution; a draw that
+        # bypassed the module global would not be counted.
+        inst = generate_instance(7, 2, 15)
+        pats = generate_patterns(inst)
+        outcomes = []
+
+        def counting(*args):
+            outcomes.append(real(*args))
+            return outcomes[-1]
+
+        real = ga.random_solution
+        monkeypatch.setattr(ga, "random_solution", counting)
+        params = GaParams(population_size=10, generations=1, construction_pool=300, rng_seed=2)
+        pop = init_population(params, inst, pats, random.Random(2))
+        assert len(outcomes) == 300
+        assert 0 < pop.rejected_constructions == outcomes.count(None) < 300
 
     def test_infeasible_instance_raises(self):
         inst = make_instance(
