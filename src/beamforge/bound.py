@@ -49,7 +49,7 @@ def candidate_ratios(inst: Instance, pats: PatternSet, mold_class: int) -> set[F
     ratios: set[Fraction] = set()
     for p in pats.producers:
         if p.item_counts[mold_class - 1] > 0:
-            ratios.add(Fraction(inst.weights[p.bucket]) * Fraction(p.waste, p.total_items))
+            ratios.add(p.weighted_waste_per_bar(inst.weights))
     if not ratios:
         raise UnproducibleClassError(mold_class)
     return ratios
@@ -65,10 +65,7 @@ def lower_bound(inst: Instance, pats: PatternSet) -> BoundBreakdown:
     capacity = inst.total_mold_capacity()
     makespan_lb = -((-work) // capacity) if work > 0 else 0
 
-    bar_length_needed = sum(
-        bt.bars_per_beam * sum(l * d for l, d in zip(bt.lengths, bt.demands))
-        for bt in inst.beam_types
-    )
+    bar_length_needed = inst.required_bar_length
     per_gamma: list[tuple[int, int, Fraction]] = []
     if bar_length_needed == 0:
         waste_lb_cm = Fraction(0)

@@ -375,23 +375,18 @@ def _min_makespan_order(
 
 
 def _weighted_min_ratio(inst: Instance, pats: PatternSet) -> dict[int, float]:
-    """Cheapest weighted waste per produced bar, per class (0 when unproducible).
+    """Cheapest weighted waste per produced bar (m), per class (0 when unproducible).
 
-    Waste is spread over a pattern's total item count so the resulting
-    per-class floor stays admissible for patterns producing several classes
-    in one cut.
+    Each producer's share is `Producer.weighted_waste_per_bar`, the rule the
+    analytic bound reads too, so the per-class floor stays admissible for
+    cuts producing several classes at once.
     """
-    producers = pats.producers
     ratios: dict[int, float] = {}
     for g in range(1, inst.num_mold_classes + 1):
-        best = None
-        for p in producers:
-            if p.item_counts[g - 1] == 0:
-                continue
-            value = inst.weights[p.bucket] * p.waste / p.total_items / 100.0
-            if best is None or value < best:
-                best = value
-        ratios[g] = best if best is not None else 0.0
+        per_bar = [
+            p.weighted_waste_per_bar(inst.weights) for p in pats.producers if p.item_counts[g - 1]
+        ]
+        ratios[g] = float(min(per_bar) / 100) if per_bar else 0.0
     return ratios
 
 

@@ -116,6 +116,15 @@ class Instance:
     def total_mold_capacity(self) -> int:
         return sum(self.mold_lengths)
 
+    @property
+    def required_bar_length(self) -> int:
+        """Bar length (cm) any plan makes at least: every demanded beam takes
+        bars_per_beam mold-length bars, each at least as long as the beam."""
+        return sum(
+            bt.bars_per_beam * sum(l * d for l, d in zip(bt.lengths, bt.demands))
+            for bt in self.beam_types
+        )
+
     def leftover_length(self, kind: int) -> int:
         """Length (cm) of the 1-based leftover kind."""
         return self.bar_lengths[self.num_bar_kinds + kind - 1]

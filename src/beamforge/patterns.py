@@ -8,6 +8,7 @@ order so that chromosomes and emitted models are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InfeasibleInstanceError
 from .instance import Instance, cm_to_m
@@ -46,6 +47,11 @@ class Producer:
     @property
     def total_items(self) -> int:
         return sum(self.item_counts)
+
+    def weighted_waste_per_bar(self, weights) -> Fraction:
+        """Waste (cm) at the bucket's lambda, spread over every bar one use
+        makes, whatever its class; exact."""
+        return Fraction(weights[self.bucket]) * Fraction(self.waste, self.total_items)
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,10 @@ def enumerate_packing_patterns(inst: Instance, maximal_only: bool = True) -> lis
 
 def require_castable(inst: Instance, pats: PatternSet) -> None:
     """Raise when a demanded beam can never be cast: its type cures longer
-    than the horizon, or its length is in no packing pattern (fits no mold)."""
+    than the horizon, or its length is in no packing pattern (fits no mold).
+    Raise too when all the stock, new bars and leftovers, is shorter than the
+    bar length the demand needs: no cut or splice makes more bar than it uses
+    (necessary, not sufficient)."""
     packed = set().union(*pats.packed_lengths.values())
     for c, bt in enumerate(inst.beam_types, start=1):
         if any(bt.demands) and bt.curing_time > inst.horizon:
@@ -214,6 +223,12 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
                 raise InfeasibleInstanceError(
                     f"beam type {c}: length {cm_to_m(length)} m fits in no mold"
                 )
+    stock = sum(n * length for n, length in zip(inst.stock, inst.bar_lengths))
+    if stock < inst.required_bar_length:
+        raise InfeasibleInstanceError(
+            f"stock holds {cm_to_m(stock)} m of bar, the demand needs "
+            f"{cm_to_m(inst.required_bar_length)} m"
+        )
 
 
 def _cutting_tuples(inst: Instance):

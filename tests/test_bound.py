@@ -5,9 +5,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beamforge.bound import candidate_ratios, lower_bound
-from beamforge.errors import UnproducibleClassError
-from beamforge.evaluation import decode_schedule, exhaustive_optimum
-from beamforge.patterns import generate_patterns
+from beamforge.errors import InfeasibleInstanceError, UnproducibleClassError
+from beamforge.evaluation import _weighted_min_ratio, decode_schedule, exhaustive_optimum
+from beamforge.patterns import generate_patterns, require_castable
 
 from conftest import beam_type, make_instance
 
@@ -165,6 +165,28 @@ class TestWeightedBound:
         assert b.per_gamma == [(1, 3, Fraction(5)), (2, 2, Fraction(5))]
         assert b.total_cm == 110 == exact_objective_cm(ch, inst, pats)
 
+    def test_oracle_floor_is_the_bound_ratio(self, cwp000, cwp000_patterns):
+        # The oracle's pruning floor (m per bar) and the bound's least ratio
+        # (cm per bar) come from one per-producer rule.
+        inst = make_instance(
+            beam_types=list(cwp000.beam_types),
+            mold_lengths=list(cwp000.mold_lengths),
+            horizon=3,
+            bar_lengths=tuple(cwp000.bar_lengths),
+            stock=list(cwp000.stock),
+            weights=(0.5, 0.7, 0.25, 0.9),
+        )
+        floors = _weighted_min_ratio(inst, cwp000_patterns)
+        for g in (1, 2):
+            ratio = min(candidate_ratios(inst, cwp000_patterns, g))
+            assert floors[g] == float(ratio / 100)
+            assert ratio == min(
+                p.weighted_waste_per_bar(inst.weights)
+                for p in cwp000_patterns.producers
+                if p.item_counts[g - 1]
+            )
+        assert floors == pytest.approx({1: 0.0125, 2: 0.035}, rel=1e-15)
+
     @settings(max_examples=150, deadline=None)
     @given(
         lengths=st.lists(st.sampled_from([112, 250, 330, 560]), min_size=1, max_size=2, unique=True),
@@ -186,3 +208,38 @@ class TestWeightedBound:
         result = exhaustive_optimum(inst, pats, max_freq=4, max_genes=4)
         assume(result is not None)
         assert exact_objective_cm(result[0], inst, pats) >= bound.total_cm
+
+
+class TestStockPrecheck:
+    """All the stock, new bars and leftovers, must be at least as long as
+    the bars the demand needs (two 3.3 m beams, one bar each: 6.6 m)."""
+
+    @staticmethod
+    def instance(bar_lengths, stock):
+        return make_instance(
+            beam_types=[beam_type([330], [2])],
+            mold_lengths=[595],
+            horizon=4,
+            bar_lengths=bar_lengths,
+            num_bar_kinds=1,
+            stock=stock,
+        )
+
+    def test_exactly_enough_passes(self):
+        inst = self.instance((460, 200), (1, 1))
+        assert inst.required_bar_length == 660
+        require_castable(inst, generate_patterns(inst))
+
+    def test_one_cm_short_raises(self):
+        inst = self.instance((459, 200), (1, 1))
+        with pytest.raises(InfeasibleInstanceError) as info:
+            require_castable(inst, generate_patterns(inst))
+        assert str(info.value) == "stock holds 6.59 m of bar, the demand needs 6.6 m"
+
+    def test_long_enough_but_too_few_bars_passes(self):
+        # One 6.6 m bar is long enough in total but makes a single 5.95 m
+        # bar of the two needed: the precheck is necessary, not sufficient.
+        inst = self.instance((660,), (1,))
+        bound = lower_bound(inst, generate_patterns(inst))
+        assert bound.per_gamma == [(1, 2, Fraction(65))]
+        assert bound.waste_lb_cm == 2 * Fraction(65)

@@ -118,6 +118,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "beamforge: beam type 1: length 13.0 m fits in no mold\n"
 
+    @pytest.mark.parametrize("command", ["bound", "solve"])
+    def test_stock_shorter_than_the_demand_is_code_two(self, tmp_path, capsys, command):
+        # 5 x 1.12 m + 10 x 3.3 m of beams need 38.6 m of bar; 3 new 12 m bars
+        # and no leftovers hold 36 m.
+        doc = dict(CWP000_DOC, stock=[3, 0, 0, 0, 0])
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch([command, "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "beamforge: stock holds 36.0 m of bar, the demand needs 38.6 m\n"
+
     def test_unknown_flag_rejected(self, instance_file, capsys):
         code = dispatch(["bound", "--instance", instance_file, "--nope"])
         capsys.readouterr()

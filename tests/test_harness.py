@@ -151,15 +151,17 @@ class TestRunTrials:
     def test_failed_cells_flagged_and_excluded(self):
         from conftest import beam_type, make_instance
 
-        # Demand needs five bars but only one is in stock: every replication
-        # on this instance must be flagged and left out of the aggregates.
+        # Demand needs five bars but only three are in stock: every
+        # replication on this instance must be flagged and left out of the
+        # aggregates.  The three 6 m bars (18 m) outmeasure the 16.5 m of
+        # beams, so the stock precheck lets the instance through.
         stuck = make_instance(
             beam_types=[beam_type([330], [5])],
             mold_lengths=[595],
             horizon=9,
             bar_lengths=(600,),
             num_bar_kinds=1,
-            stock=(1,),
+            stock=(3,),
         )
         design = TrialDesign(rows=(DESIGN_ROWS[0],))
         results = run_trials(

@@ -1,17 +1,23 @@
+import hashlib
 import json
+import random
 
 import pytest
 
+from beamforge.errors import HorizonError
 from beamforge.evaluation import Chromosome, decode_schedule, exhaustive_optimum, fitness
+from beamforge.ga import random_solution
 from beamforge.ilp import (
     Assignment,
+    _producer_name,
+    _xname,
     assignment_objective,
     build_model,
     check_assignment,
     emit_lp,
     induced_assignment,
 )
-from beamforge.instance import parse_instance
+from beamforge.instance import generate_instance, parse_instance
 from beamforge.patterns import NEW_BAR, NEW_BAR_LEFTOVER, REUSE, PatternSet, generate_patterns
 
 from conftest import (
@@ -137,6 +143,40 @@ class TestBuildModel:
         assert all(coeff == 0 for coeff, _ in model.objective)
 
 
+class TestColumnLayout:
+    """Columns run x (mold, period, then hold marker and admitted patterns),
+    z, then producers; rows refer to them only by id."""
+
+    @pytest.mark.parametrize("which", ["cwp000", "generated"])
+    def test_columns_and_rows(self, which, cwp000, cwp000_patterns):
+        if which == "cwp000":
+            inst, pats = cwp000, cwp000_patterns
+        else:
+            inst = generate_instance(11, 3, 15)  # two mold classes, curing up to 3
+            pats = generate_patterns(inst)
+        model = build_model(inst, pats)
+        T, M = inst.horizon, inst.num_molds
+        assert model.x_keys == [
+            (i, m, t)
+            for m in range(1, M + 1)
+            for t in range(1, T + 1)
+            for i in [0, *model.admitted(m)]
+        ]
+        nx = len(model.x_keys)
+        assert len(model.names) == nx + T + len(pats.producers)
+        assert len(set(model.names)) == len(model.names)
+        for col, key in enumerate(model.x_keys):
+            assert model.names[col] == _xname(*key)
+        assert model.names[nx : nx + T] == [f"z_{t}" for t in model.z_keys]
+        assert model.names[nx + T :] == [_producer_name(p) for p in pats.producers]
+        for row in model.rows:
+            assert len(row.coeffs) == len(row.cols) > 0
+            assert len(set(row.cols)) == len(row.cols)
+            assert all(0 <= col < len(model.names) for col in row.cols)
+            assert all(isinstance(c, int) and c != 0 for c in row.coeffs)
+        assert [col for _, col in model.objective] == list(range(nx, len(model.names)))
+
+
 class TestEmit:
     def test_deterministic(self, cwp000, cwp000_patterns):
         model = build_model(cwp000, cwp000_patterns)
@@ -155,8 +195,10 @@ class TestEmit:
             terms, sense, rhs = rows[row.name]
             assert sense == row.sense
             assert rhs == row.rhs
-            assert terms == {name: float(c) for c, name in row.terms if c != 0}
-        emitted_obj = {name: coeff for coeff, name in model.objective if coeff != 0}
+            assert terms == {
+                model.names[j]: float(c) for c, j in zip(row.coeffs, row.cols) if c != 0
+            }
+        emitted_obj = {model.names[j]: coeff for coeff, j in model.objective if coeff != 0}
         assert objective == pytest.approx(emitted_obj)
 
     def test_empty_pattern_set(self, cwp000):
@@ -292,8 +334,8 @@ class TestDistinctWeights:
         values += [assignment.z[t] for t in model.z_keys]
         values += [assignment.cuts[p.id] for p in pats.cutting]
         values += [assignment.overlaps[p.id] for p in pats.overlapping]
-        by_name = dict(zip(model.var_names(), values))
-        assert sum(coeff * by_name[name] for coeff, name in model.objective) == value
+        assert len(values) == len(model.names)
+        assert sum(coeff * values[j] for coeff, j in model.objective) == value
 
     def test_oracle_value(self, weighted):
         inst, pats = weighted
@@ -334,3 +376,64 @@ class TestExternalSolve:
         )
         assert result.success
         assert result.fun == pytest.approx(2.3, abs=1e-6)
+
+
+def curing_instance():
+    """Two beam types, the first curing for two periods: curing_hold rows and
+    x columns fixed to zero in the last period (a Bounds section)."""
+    return make_instance(
+        beam_types=[beam_type([330, 450], [3, 2], curing=2), beam_type([900], [1])],
+        mold_lengths=[595, 595, 1195],
+        horizon=5,
+    )
+
+
+class TestPinnedBytes:
+    """Emitted LP text and checker reports, pinned by SHA-256."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, cwp000, cwp000_patterns):
+        out = [(cwp000, cwp000_patterns)]
+        for inst in (curing_instance(), generate_instance(7, 2, 15), generate_instance(11, 3, 15)):
+            out.append((inst, generate_patterns(inst)))
+        return out
+
+    def test_pinned_lp_bytes(self, cases):
+        digest = hashlib.sha256()
+        for inst, pats in cases:
+            digest.update(emit_lp(build_model(inst, pats)).encode())
+        assert digest.hexdigest() == "380213c5aff70a894d9a2e6e6a37653e08972f60fa2914ad4d37497fd11abc64"
+
+    def test_pinned_violation_text(self, cases):
+        # Each round perturbs the assignment a drawn plan induces: flipped x
+        # entries, a z of 2, a negative or an overdrawn cut count, an x on a
+        # fixed-zero key.
+        reports = []
+        for inst, pats in cases[:3]:
+            model = build_model(inst, pats)
+            fixed = sorted(model.fixed_zero)
+            rng = random.Random(5)
+            rounds = 0
+            while rounds < 40:
+                ch = random_solution(inst, pats, rng)
+                if ch is None:
+                    continue
+                try:
+                    a = induced_assignment(model, ch)
+                except HorizonError:
+                    continue
+                for key in rng.sample(model.x_keys, rng.randint(0, 3)):
+                    a.x[key] = 1 - a.x[key]
+                if rng.random() < 0.3:
+                    a.z[rng.choice(model.z_keys)] = 2
+                if rng.random() < 0.3:
+                    a.cuts[rng.choice(sorted(a.cuts))] = -rng.randint(1, 3)
+                if rng.random() < 0.2:
+                    a.cuts[rng.choice(sorted(a.cuts))] += 100
+                if fixed and rng.random() < 0.5:
+                    a.x[rng.choice(fixed)] = 1
+                reports.append([str(v) for v in check_assignment(model, a)])
+                rounds += 1
+        assert sum(map(len, reports)) > 100
+        digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+        assert digest == "6f871e706cbaf1749791b5b3648dd4617fbc83de2a4944a293c75c55e0cde2e8"
