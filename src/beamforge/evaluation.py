@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapreplace
 
 from .errors import (
     BudgetExceededError,
@@ -214,60 +213,94 @@ def classify_infeasibility(ch: Chromosome, inst: Instance, pats: PatternSet) -> 
     return Tally(inst, pats, ch.genes).report()
 
 
-def mold_heaps(inst: Instance) -> list[list[tuple[int, int]]]:
-    """One heap of (load, mold index) per mold class, every mold still empty."""
-    return [[(0, m) for m in molds] for molds in inst.class_molds]
+class MoldLevels:
+    """The molds of one class grouped by load: `levels[load]` lists the molds
+    at that load in ascending index order, for loads 0..horizon; `low` and
+    `high` are the lowest and highest load of any mold."""
+
+    __slots__ = ("levels", "low", "high")
+
+    def __init__(self, molds, horizon: int):
+        self.levels = [list(molds)] + [[] for _ in range(horizon)]
+        self.low = self.high = 0
 
 
-def place(heap, duration: int, uses: int, horizon: int, starts=None) -> int:
-    """Cast up to `uses` times for `duration` periods on the molds of one heap.
+def mold_levels(inst: Instance) -> list[MoldLevels]:
+    """One level table per mold class, every mold still empty."""
+    return [MoldLevels(molds, inst.horizon) for molds in inst.class_molds]
+
+
+def place(table: MoldLevels, duration: int, uses: int, horizon: int, starts=None) -> int:
+    """Cast up to `uses` times for `duration` periods on the molds of one class.
 
     Each cast goes to the least-loaded mold, ties to the lowest mold index,
-    so occupied periods form a prefix per mold.  Placing stops at the first
-    cast that would end after `horizon` (no other mold could take it either).
-    Returns the number of casts placed; appends each one's (mold index, start
-    period) to `starts` when given.
+    so occupied periods form a prefix per mold.  The molds of the lowest
+    load therefore take their casts in index order and move to
+    `load + duration` in one step.  Placing stops at the first cast that
+    would end after `horizon` (no other mold could take it either).
+    Returns the number of casts placed; appends each one's (mold index,
+    start period) to `starts` when given.
     """
-    for placed in range(uses):
-        load, mold = heap[0]
-        end = load + duration
+    levels = table.levels
+    placed = 0
+    while placed < uses:
+        low = table.low
+        end = low + duration
         if end > horizon:
-            return placed
-        heapreplace(heap, (end, mold))
+            break
+        level = levels[low]
+        if uses - placed < len(level):
+            moved = level[: uses - placed]
+            del level[: uses - placed]
+        else:
+            moved = level
+            levels[low] = []
         if starts is not None:
-            starts.append((mold, load + 1))
-    return uses
+            starts.extend([(mold, low + 1) for mold in moved])
+        placed += len(moved)
+        target = levels[end]
+        if target:
+            target += moved
+            target.sort()
+        else:
+            levels[end] = moved
+        if end > table.high:
+            table.high = end
+        while not levels[low]:
+            low += 1
+        table.low = low
+    return placed
 
 
 def _place_genes(ch: Chromosome, inst: Instance, pats: PatternSet, assignments=None):
-    """Place every packing use of the genes, in order; the per-class heaps.
+    """Place every packing use of the genes, in order; the per-class level
+    tables.
 
     Appends (pattern id, start period) per use to `assignments[mold]` when
     given; raises HorizonError at the first use that does not fit.
     """
-    heaps = mold_heaps(inst)
+    tables = mold_levels(inst)
     for pid, freq in ch.genes:
         if pid not in pats:
             raise UnknownPatternError(f"unknown pattern id {pid}")
         pattern = pats.by_id(pid)
         if not isinstance(pattern, PackingPattern):
             continue
-        heap = heaps[pattern.mold_class - 1]
+        table = tables[pattern.mold_class - 1]
         starts = None if assignments is None else []
-        if place(heap, pattern.duration, freq, inst.horizon, starts) < freq:
-            load, mold = heap[0]
+        if place(table, pattern.duration, freq, inst.horizon, starts) < freq:
             raise HorizonError(
-                f"pattern {pid} cannot finish within the horizon "
-                f"(mold {mold + 1} load {load}, duration {pattern.duration})"
+                f"pattern {pid} cannot finish within the horizon (mold "
+                f"{table.levels[table.low][0] + 1} load {table.low}, duration {pattern.duration})"
             )
         for mold, start in starts or ():
             assignments[mold].append((pid, start))
-    return heaps
+    return tables
 
 
 def plan_makespan(ch: Chromosome, inst: Instance, pats: PatternSet) -> int:
     """The decoded plan's makespan, without building its Schedule."""
-    return max(load for heap in _place_genes(ch, inst, pats) for load, _ in heap)
+    return max(table.high for table in _place_genes(ch, inst, pats))
 
 
 def decode_schedule(ch: Chromosome, inst: Instance, pats: PatternSet) -> Schedule:
@@ -277,11 +310,11 @@ def decode_schedule(ch: Chromosome, inst: Instance, pats: PatternSet) -> Schedul
     time, to the currently least-loaded mold of its length class (`place`).
     """
     assignments: list[list[tuple[int, int]]] = [[] for _ in range(inst.num_molds)]
-    heaps = _place_genes(ch, inst, pats, assignments)
+    tables = _place_genes(ch, inst, pats, assignments)
     w2, w3, w4 = waste_buckets_cm(ch, inst, pats)
     return Schedule(
         assignments=assignments,
-        makespan=max(load for heap in heaps for load, _ in heap),
+        makespan=max(table.high for table in tables),
         new_bar_waste_cm=w2,
         new_leftover_waste_cm=w3,
         reuse_waste_cm=w4,
@@ -350,7 +383,6 @@ def _min_makespan_order(
     """
     ordered: list[Gene] = []
     worst = 0
-    heaps = mold_heaps(inst)
     for g, genes in sorted(class_genes.items()):
         if not genes:
             continue
@@ -358,13 +390,13 @@ def _min_makespan_order(
         best_perm: tuple[Gene, ...] | None = None
         for perm in itertools.permutations(genes):
             budget.tick()
-            heap = list(heaps[g - 1])
+            table = MoldLevels(inst.molds_in_class(g), inst.horizon)
             if not all(
-                place(heap, pats.by_id(pid).duration, freq, inst.horizon) == freq
+                place(table, pats.by_id(pid).duration, freq, inst.horizon) == freq
                 for pid, freq in perm
             ):
                 continue
-            ms = max(load for load, _ in heap)
+            ms = table.high
             if best_ms is None or ms < best_ms:
                 best_ms, best_perm = ms, perm
         if best_ms is None:

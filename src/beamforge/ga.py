@@ -20,7 +20,7 @@ from .evaluation import (
     Schedule,
     Tally,
     evaluate,
-    mold_heaps,
+    mold_levels,
     place,
     plan_makespan,
     score,
@@ -121,10 +121,10 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
         for k, d in enumerate(bt.demands, start=1)
     }
     short = {key for key, d in deficits.items() if d > 0}
-    heaps = mold_heaps(inst)
+    tables = mold_levels(inst)
     # Per class, the shortest curing time that no longer fits: mold loads
     # only grow, so a pattern that cures this long or longer would place 0.
-    blocked = [inst.horizon + 1] * len(heaps)
+    blocked = [inst.horizon + 1] * len(tables)
     unpicked = list(pats.packing)
     while short:
         if not unpicked:
@@ -138,7 +138,7 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
             continue
         wanted = max(-(-deficits[key] // count) for key, count in lengths.items() if key in short)
         # Cap the uses so each one still finishes within the horizon.
-        freq = place(heaps[g], pattern.duration, wanted, inst.horizon)
+        freq = place(tables[g], pattern.duration, wanted, inst.horizon)
         if freq < wanted:
             blocked[g] = pattern.duration
         if freq == 0:

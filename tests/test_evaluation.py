@@ -1,4 +1,5 @@
 import random
+from heapq import heapreplace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from beamforge.evaluation import (
     exhaustive_optimum,
     fitness,
     fitness_cm,
+    mold_levels,
+    place,
     plan_makespan,
     score,
 )
@@ -89,6 +92,25 @@ def min_scan_decode(genes, inst, pats):
     return loads, assignments
 
 
+def heap_place(heap, duration, uses, horizon):
+    """Reference placement on a heap of (load, mold index): one cast at a
+    time on its top, stopping at the first that would pass the horizon.
+    Returns the (mold index, start period) of each cast, in order."""
+    starts = []
+    for _ in range(uses):
+        load, mold = heap[0]
+        if load + duration > horizon:
+            break
+        heapreplace(heap, (load + duration, mold))
+        starts.append((mold, load + 1))
+    return starts
+
+
+def levels_of(table):
+    """The (load, mold index) pairs a level table holds, sorted."""
+    return sorted((load, m) for load, molds in enumerate(table.levels) for m in molds)
+
+
 @pytest.fixture(scope="module")
 def two_class():
     # Two mold classes (11 and 4 molds), curing 1 and 2 periods, horizon 7.
@@ -108,7 +130,7 @@ class TestPlacement:
         inst, pats = instance_pair
         ids = [p.id for p in pats.packing] + [pats.producers[0].id]
         genes = data.draw(
-            st.lists(st.tuples(st.sampled_from(ids), st.integers(1, 8)), max_size=12)
+            st.lists(st.tuples(st.sampled_from(ids), st.integers(1, 40)), max_size=12)
         )
         ch = Chromosome(genes)
         try:
@@ -123,6 +145,40 @@ class TestPlacement:
         assert mold_loads(schedule, pats) == loads
         assert schedule.assignments == assignments
         assert schedule.makespan == plan_makespan(ch, inst, pats) == max(loads)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_place_matches_a_heap(self, two_class, data):
+        # The 11-mold class of (7, 2, 15): one call may cross several levels.
+        inst, _ = two_class
+        calls = data.draw(
+            st.lists(st.tuples(st.integers(1, 3), st.integers(0, 40)), min_size=1, max_size=8)
+        )
+        table = mold_levels(inst)[0]
+        heap = [(0, m) for m in inst.class_molds[0]]
+        for duration, uses in calls:
+            starts = []
+            placed = place(table, duration, uses, inst.horizon, starts)
+            assert starts == heap_place(heap, duration, uses, inst.horizon)
+            assert placed == len(starts)
+        assert levels_of(table) == sorted(heap)
+
+    def test_horizon_stop_after_crossing_levels(self):
+        # Five molds, horizon 4.  Three casts of 2 periods take part of level
+        # 0 (molds 0-2); one of 1 period lifts mold 3.  Ten casts of 3
+        # periods then take mold 4 from level 0 and mold 3 from level 1, and
+        # stop at level 2, where a cast would end at 5.
+        table = mold_levels(make_instance(
+            beam_types=[beam_type([330], [1])], mold_lengths=[595] * 5, horizon=4
+        ))[0]
+        heap = [(0, m) for m in range(5)]
+        for duration, uses, expected in ((2, 3, 3), (1, 1, 1), (3, 10, 2)):
+            starts = []
+            assert place(table, duration, uses, 4, starts) == expected
+            assert starts == heap_place(heap, duration, uses, 4)
+        assert starts == [(4, 1), (3, 2)]
+        assert (table.low, table.high) == (2, 4)
+        assert levels_of(table) == sorted(heap) == [(2, 0), (2, 1), (2, 2), (3, 4), (4, 3)]
 
     def test_score_is_the_evaluated_objective(self, instance_pair):
         inst, pats = instance_pair
