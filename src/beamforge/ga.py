@@ -108,10 +108,10 @@ class GaResult:
 def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chromosome | None:
     """Build a feasible chromosome or reject.
 
-    Packing patterns are drawn without replacement; each selected pattern is
-    used as often as needed to cover the demand of the lengths it contains,
-    capped so every use still fits inside the horizon.  Bars are then supplied
-    class by class from random cutting patterns and, if short, splices.
+    Packing patterns are drawn at random from those still live (see below);
+    each selected pattern is used as often as needed to cover the demand of
+    the lengths it contains, capped so every use still fits inside the
+    horizon.  Bars are then supplied class by class (`_supply_bars`).
     """
     genes: list[tuple[int, int]] = []
     tally = Tally(inst, pats)
@@ -122,25 +122,31 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
     }
     short = {key for key, d in deficits.items() if d > 0}
     tables = mold_levels(inst)
-    # Per class, the shortest curing time that no longer fits: mold loads
-    # only grow, so a pattern that cures this long or longer would place 0.
-    blocked = [inst.horizon + 1] * len(tables)
-    unpicked = list(pats.packing)
+    cover, slower = pats.cover, pats.slower
+    # The patterns whose class can still place them: mold loads only grow,
+    # so once a pattern places fewer uses than wanted, every pattern of its
+    # class that cures as long or longer would place 0.
+    allowed = (1 << pats.num_packing) - 1
     while short:
-        if not unpicked:
-            return None
-        pattern = unpicked.pop(rng.randrange(len(unpicked)))
+        # A pattern is live while it is allowed and packs a short length.
+        # A pick covers every short length it packs or blocks its class, so
+        # it is never live again: a uniform pick among the live patterns is
+        # a uniform pick among the unpicked ones that are live.
+        live = 0
+        for key in short:
+            reach = cover.get(key, 0) & allowed
+            if not reach:
+                return None  # no pattern left can cover this length
+            live |= reach
+        for _ in range(rng.randrange(live.bit_count())):
+            live &= live - 1
+        pattern = pats.packing[(live & -live).bit_length() - 1]
         lengths = pats.packed_lengths[pattern.id]
-        if short.isdisjoint(lengths):
-            continue
-        g = pattern.mold_class - 1
-        if pattern.duration >= blocked[g]:
-            continue
         wanted = max(-(-deficits[key] // count) for key, count in lengths.items() if key in short)
         # Cap the uses so each one still finishes within the horizon.
-        freq = place(tables[g], pattern.duration, wanted, inst.horizon)
+        freq = place(tables[pattern.mold_class - 1], pattern.duration, wanted, inst.horizon)
         if freq < wanted:
-            blocked[g] = pattern.duration
+            allowed &= ~slower[(pattern.mold_class, pattern.duration)]
         if freq == 0:
             continue
         genes.append((pattern.id, freq))
@@ -149,7 +155,12 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
             deficits[key] = max(0, deficits[key] - count * freq)
             if not deficits[key]:
                 short.discard(key)
+    return _supply_bars(genes, tally, pats, rng)
 
+
+def _supply_bars(genes, tally, pats, rng) -> Chromosome | None:
+    """Add bar producers to packing genes: per class, random cuts and then,
+    if still short, random splices, each used as often as it has room."""
     needed, produced = tally.required, tally.made
     chosen: set[int] = set()
     for g in needed:
@@ -437,12 +448,9 @@ def _draw_population(pool, size, seed_members, seed_fitnesses, inst, pats, rng):
         if ch is None:
             rejected += 1
             continue
-        try:
-            value = score(ch, inst, pats)
-        except HorizonError:
-            rejected += 1
-            continue
-        candidates.append((ch, value))
+        # Construction placed every cast, in gene order, on empty molds, so
+        # scoring replays placements that fit.
+        candidates.append((ch, score(ch, inst, pats)))
     candidates.sort(key=lambda item: (item[1], item[0].key()))
     members, fitnesses, seen = [], [], set()
     for ch, value in candidates:

@@ -8,6 +8,7 @@ order so that chromosomes and emitted models are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import InfeasibleInstanceError
@@ -110,6 +111,33 @@ class PatternSet:
             p.id: {(p.beam_type, k): n for k, n in enumerate(p.counts, start=1) if n}
             for p in self.packing
         }
+
+    # Construction's draw index, built on first use: bitmasks over the packing
+    # patterns, bit i standing for packing[i].
+
+    @cached_property
+    def cover(self) -> dict[tuple[int, int], int]:
+        """Per packed (beam type, length index), the patterns that pack it."""
+        masks: dict[tuple[int, int], int] = {}
+        for i, p in enumerate(self.packing):
+            for key in self.packed_lengths[p.id]:
+                masks[key] = masks.get(key, 0) | 1 << i
+        return masks
+
+    @cached_property
+    def slower(self) -> dict[tuple[int, int], int]:
+        """Per (mold class, curing time) of a pattern, the patterns of that
+        class that cure at least as long."""
+        masks: dict[tuple[int, int], int] = {}
+        for p in self.packing:
+            key = (p.mold_class, p.duration)
+            if key not in masks:
+                masks[key] = sum(
+                    1 << i
+                    for i, q in enumerate(self.packing)
+                    if q.mold_class == p.mold_class and q.duration >= p.duration
+                )
+        return masks
 
     @property
     def num_packing(self) -> int:

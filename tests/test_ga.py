@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -6,11 +7,15 @@ import pytest
 from beamforge import ga
 from beamforge.evaluation import (
     Chromosome,
+    Tally,
     classify_infeasibility,
     decode_schedule,
     evaluate,
     exhaustive_optimum,
     fitness,
+    mold_levels,
+    place,
+    score,
 )
 from beamforge.errors import HorizonError, InfeasibleInstanceError
 from beamforge.ga import (
@@ -147,7 +152,91 @@ class TestConstruction:
             plans = [random_solution(inst, pats, rng) for _ in range(draws)]
             batches.append(([None if ch is None else ch.genes for ch in plans], rng.getstate()))
         digest = hashlib.sha256(repr(batches).encode()).hexdigest()
-        assert digest == "b0f318d76191082d89e668560921cf48c06ca60ee1989aace05bf14729c86a37"
+        assert digest == "03ef6290072c7e32482c855cd51e7fa1580cc6526b56d66f18caa07b9a114d6e"
+
+
+    @pytest.mark.parametrize("which", ["cwp000", "two-class"])
+    def test_every_construction_scores(self, cwp000, cwp000_patterns, which):
+        # Population draws score accepted plans without a HorizonError guard.
+        if which == "cwp000":
+            inst, pats = cwp000, cwp000_patterns
+        else:
+            inst = generate_instance(7, 2, 15)
+            pats = generate_patterns(inst)
+        rng = random.Random(8)
+        plans = [ch for ch in (random_solution(inst, pats, rng) for _ in range(1500)) if ch]
+        assert len(plans) > 300
+        for ch in plans:
+            assert score(ch, inst, pats) == evaluate(ch, inst, pats)[0]
+
+    @pytest.mark.parametrize("which", ["cwp000", "two-class"])
+    def test_live_draws_match_pop_and_skip(self, cwp000, cwp000_patterns, which):
+        # Drawing uniformly among the live packing patterns must give the
+        # plans that popping random unpicked patterns and skipping the dead
+        # ones gives.  Yield and each pattern's share of draws whose plan
+        # holds it must agree within 4.5 standard errors (two-proportion z).
+        if which == "cwp000":
+            inst, pats = cwp000, cwp000_patterns
+        else:
+            inst = generate_instance(7, 2, 15)
+            pats = generate_patterns(inst)
+        n = 4000
+        rng_live, rng_ref = random.Random(21), random.Random(22)
+        live = [random_solution(inst, pats, rng_live) for _ in range(n)]
+        ref = [pop_and_skip_solution(inst, pats, rng_ref) for _ in range(n)]
+
+        def z(a, b):
+            pooled = (a + b) / (2 * n)
+            if pooled in (0, 1):
+                return 0.0
+            return (a - b) / math.sqrt(2 * n * pooled * (1 - pooled))
+
+        def holding(plans, pid):
+            return sum(1 for ch in plans if ch is not None and pid in ch.pattern_ids())
+
+        accepted = sum(ch is not None for ch in live), sum(ch is not None for ch in ref)
+        assert 0.2 * n < accepted[0] and abs(z(*accepted)) < 4.5
+        for pid in range(1, pats.total + 1):
+            assert abs(z(holding(live, pid), holding(ref, pid))) < 4.5, pid
+
+
+def pop_and_skip_solution(inst, pats, rng):
+    """Reference construction: the packing loop as it drew before live-pattern
+    draws, then the shared bar supply.  Random unpicked patterns are popped
+    and skipped while they pack no short length or their class can no longer
+    place them; running out of patterns rejects the plan."""
+    genes = []
+    tally = Tally(inst, pats)
+    deficits = {
+        (c, k): d
+        for c, bt in enumerate(inst.beam_types, start=1)
+        for k, d in enumerate(bt.demands, start=1)
+    }
+    short = {key for key, d in deficits.items() if d > 0}
+    tables = mold_levels(inst)
+    blocked = [inst.horizon + 1] * len(tables)
+    unpicked = list(pats.packing)
+    while short:
+        if not unpicked:
+            return None
+        pattern = unpicked.pop(rng.randrange(len(unpicked)))
+        lengths = pats.packed_lengths[pattern.id]
+        g = pattern.mold_class - 1
+        if short.isdisjoint(lengths) or pattern.duration >= blocked[g]:
+            continue
+        wanted = max(-(-deficits[key] // count) for key, count in lengths.items() if key in short)
+        freq = place(tables[g], pattern.duration, wanted, inst.horizon)
+        if freq < wanted:
+            blocked[g] = pattern.duration
+        if freq == 0:
+            continue
+        genes.append((pattern.id, freq))
+        tally.add(pattern, freq)
+        for key, count in lengths.items():
+            deficits[key] = max(0, deficits[key] - count * freq)
+            if not deficits[key]:
+                short.discard(key)
+    return ga._supply_bars(genes, tally, pats, rng)
 
 
 class TestCrossoverArithmetic:
@@ -249,8 +338,8 @@ class TestRepair:
     @pytest.mark.parametrize(
         "which, digest",
         [
-            ("cwp000", "83092285495dd9a8e7429a621a36da2f3faacae1a2ce4ef355782f1402aea3b1"),
-            ("two-class", "628a62d393bf91e38b290b0461953bfbd3c875d8b68ec6f7fdfa13409ca46404"),
+            ("cwp000", "4e63765d403611ab58011534d712ef0cb41128c85149b2527e6064ea625e6bb4"),
+            ("two-class", "22867fb6c81cafc098b2dc18711643e683c18a74747c69e4efc506f855d34763"),
         ],
         ids=["cwp000", "two-class"],
     )

@@ -436,4 +436,4 @@ class TestPinnedBytes:
                 rounds += 1
         assert sum(map(len, reports)) > 100
         digest = hashlib.sha256(repr(reports).encode()).hexdigest()
-        assert digest == "6f871e706cbaf1749791b5b3648dd4617fbc83de2a4944a293c75c55e0cde2e8"
+        assert digest == "d215972c5160b47387ccff52ce1edef624d26a94e1d723b3c42cbb7d91a16f9c"
