@@ -254,7 +254,7 @@ def _producer_genes(genes, pats, accepts):
 
 def _fix_stock(genes, tally, inst, pats):
     """Lower the genes that draw each overrun kind, cuts before splices, by
-    whole uses of the excess, until the stock holds."""
+    the fewest whole uses that clear the excess, until the stock holds."""
     usage = tally.used
     for w in usage:
         stock = inst.stock[w - 1]
@@ -266,7 +266,7 @@ def _fix_stock(genes, tally, inst, pats):
                 break
             freq = genes[i][1]
             need = dict(pattern.stock_use)[w]
-            _set_frequency(genes, tally, i, pattern, freq - min(freq, excess // need))
+            _set_frequency(genes, tally, i, pattern, freq - min(freq, -(-excess // need)))
 
 
 def _fix_balance(genes, tally, inst, pats):

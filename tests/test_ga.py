@@ -317,6 +317,16 @@ class TestRepair:
         assert repaired is not None
         assert feasible_and_schedulable(repaired, cwp000, pats)
 
+    def test_odd_overrun_on_a_two_leftover_splice(self, cwp000, cwp000_patterns):
+        # Each use splices two 8 m leftovers (kind 5, 29 in stock): 15 uses
+        # draw 30, and one use less clears the excess of 1.
+        splice = next(p for p in cwp000_patterns.overlapping if p.stock_use == ((5, 2),))
+        genes = [(splice.id, 15)]
+        tally = Tally(cwp000, cwp000_patterns, genes)
+        ga._fix_stock(genes, tally, cwp000, cwp000_patterns)
+        assert genes == [(splice.id, 14)]
+        assert tally.used[5] == 28 <= cwp000.stock[4]
+
     def test_idempotent_on_corruptions(self, cwp000, cwp000_patterns):
         pats = cwp000_patterns
         rng = random.Random(11)
