@@ -7,6 +7,7 @@ the lower-bound deviation and signal-to-noise aggregates.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -120,7 +121,10 @@ def snr(fits: list[float]) -> float:
 
 
 def _replication_seed(seed: int, trial: int, instance_index: int, rep: int) -> int:
-    return seed * 1_000_003 + trial * 9_973 + instance_index * 97 + rep
+    """The solver seed of one cell: the first 8 bytes of the SHA-256 of the
+    tuple's text, so distinct cells share a seed only by a 64-bit chance."""
+    digest = hashlib.sha256(repr((seed, trial, instance_index, rep)).encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def _run_cell(payload):
@@ -188,9 +192,8 @@ def run_trials(
     payloads = []
     for row, trial in enumerate(trial_numbers, start=1):
         for index, (name, inst, pats, lb_total) in enumerate(prepared):
-            params_seed_base = _replication_seed(seed, trial, index, 0)
             for rep in range(1, replications + 1):
-                cell_seed = params_seed_base + rep
+                cell_seed = _replication_seed(seed, trial, index, rep)
                 params = design.params_for(row, pats.num_packing, inst.horizon, cell_seed)
                 payloads.append(
                     (trial, name, index, rep, cell_seed, inst, pats, lb_total, params)

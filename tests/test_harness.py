@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from beamforge.harness import (
     DESIGN_ROWS,
     TrialDesign,
+    _replication_seed,
     lbd,
     results_csv,
     run_trials,
@@ -96,6 +97,24 @@ class TestDesign:
         assert params.restart_elites == params.population_size - 1
 
 
+class TestReplicationSeeds:
+    def test_no_collision(self):
+        # A full design over a large batch: 9 trials x 200 instances x 200
+        # replications, each cell with its own 64-bit seed.
+        seeds = {
+            _replication_seed(7, trial, index, rep)
+            for trial in range(1, 10)
+            for index in range(200)
+            for rep in range(1, 201)
+        }
+        assert len(seeds) == 9 * 200 * 200
+        assert all(0 <= s < 2**64 for s in seeds)
+
+    def test_batch_seed_changes_every_cell(self):
+        assert _replication_seed(1, 1, 0, 1) != _replication_seed(2, 1, 0, 1)
+        assert _replication_seed(-1, 1, 0, 1) != _replication_seed(1, 1, 0, 1)
+
+
 @pytest.fixture(scope="module")
 def single_trial_results():
     design = TrialDesign(rows=(DESIGN_ROWS[0],))
@@ -113,6 +132,9 @@ class TestRunTrials:
         assert trial.failures == 0
         assert [r.rep for r in trial.replications] == [1, 2]
         assert all(r.instance == "mini" for r in trial.replications)
+        assert [r.seed for r in trial.replications] == [
+            _replication_seed(5, 1, 0, rep) for rep in (1, 2)
+        ]
 
     def test_aggregates_recomputable(self, single_trial_results):
         results, _, _ = single_trial_results
