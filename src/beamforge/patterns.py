@@ -240,14 +240,13 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
     Raise too when all the stock, new bars and leftovers, is shorter than the
     bar length the demand needs: no cut or splice makes more bar than it uses
     (necessary, not sufficient)."""
-    packed = set().union(*pats.packed_lengths.values())
     for c, bt in enumerate(inst.beam_types, start=1):
         if any(bt.demands) and bt.curing_time > inst.horizon:
             raise InfeasibleInstanceError(
                 f"beam type {c}: curing {bt.curing_time} exceeds the horizon {inst.horizon}"
             )
         for k, (length, demand) in enumerate(zip(bt.lengths, bt.demands), start=1):
-            if demand and (c, k) not in packed:
+            if demand and (c, k) not in pats.cover:
                 raise InfeasibleInstanceError(
                     f"beam type {c}: length {cm_to_m(length)} m fits in no mold"
                 )

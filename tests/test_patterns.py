@@ -3,6 +3,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamforge.instance import generate_instance
 from beamforge.patterns import (
     contains,
     enumerate_packing_patterns,
@@ -174,6 +175,27 @@ class TestIdScheme:
         assert enumerate_packing_patterns(cwp000) == cwp000_patterns.packing
         assert generate_patterns(cwp000).cutting == cwp000_patterns.cutting
         assert generate_patterns(cwp000).overlapping == cwp000_patterns.overlapping
+
+
+class TestDrawIndex:
+    def test_masks_list_the_patterns(self, cwp000_patterns):
+        for pats in (cwp000_patterns, generate_patterns(generate_instance(7, 2, 15))):
+            def bits(mask):
+                return {i for i in range(pats.num_packing) if mask >> i & 1}
+
+            keys = {(p.beam_type, k) for p in pats.packing for k in range(1, len(p.counts) + 1)}
+            for key in keys:
+                assert bits(pats.cover.get(key, 0)) == {
+                    i
+                    for i, p in enumerate(pats.packing)
+                    if p.beam_type == key[0] and p.counts[key[1] - 1]
+                }
+            for p in pats.packing:
+                assert bits(pats.slower[(p.mold_class, p.duration)]) == {
+                    i
+                    for i, q in enumerate(pats.packing)
+                    if q.mold_class == p.mold_class and q.duration >= p.duration
+                }
 
 
 # -- brute-force equivalence -------------------------------------------------
