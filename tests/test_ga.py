@@ -63,6 +63,15 @@ def feasible_and_schedulable(ch, inst, pats):
     return True
 
 
+@pytest.fixture(scope="module", params=["cwp000", "two-class"])
+def instance_pair(request, cwp000, cwp000_patterns):
+    if request.param == "cwp000":
+        return cwp000, cwp000_patterns
+    # Two mold classes (11 and 4 molds), curing 1 and 2 periods, horizon 7.
+    inst = generate_instance(7, 2, 15)
+    return inst, generate_patterns(inst)
+
+
 class TestConstruction:
     def test_always_feasible_or_rejected(self, cwp000, cwp000_patterns):
         rng = random.Random(0)
@@ -155,31 +164,21 @@ class TestConstruction:
         assert digest == "03ef6290072c7e32482c855cd51e7fa1580cc6526b56d66f18caa07b9a114d6e"
 
 
-    @pytest.mark.parametrize("which", ["cwp000", "two-class"])
-    def test_every_construction_scores(self, cwp000, cwp000_patterns, which):
+    def test_every_construction_scores(self, instance_pair):
         # Population draws score accepted plans without a HorizonError guard.
-        if which == "cwp000":
-            inst, pats = cwp000, cwp000_patterns
-        else:
-            inst = generate_instance(7, 2, 15)
-            pats = generate_patterns(inst)
+        inst, pats = instance_pair
         rng = random.Random(8)
         plans = [ch for ch in (random_solution(inst, pats, rng) for _ in range(1500)) if ch]
         assert len(plans) > 300
         for ch in plans:
             assert score(ch, inst, pats) == evaluate(ch, inst, pats)[0]
 
-    @pytest.mark.parametrize("which", ["cwp000", "two-class"])
-    def test_live_draws_match_pop_and_skip(self, cwp000, cwp000_patterns, which):
+    def test_live_draws_match_pop_and_skip(self, instance_pair):
         # Drawing uniformly among the live packing patterns must give the
         # plans that popping random unpicked patterns and skipping the dead
         # ones gives.  Yield and each pattern's share of draws whose plan
         # holds it must agree within 4.5 standard errors (two-proportion z).
-        if which == "cwp000":
-            inst, pats = cwp000, cwp000_patterns
-        else:
-            inst = generate_instance(7, 2, 15)
-            pats = generate_patterns(inst)
+        inst, pats = instance_pair
         n = 4000
         rng_live, rng_ref = random.Random(21), random.Random(22)
         live = [random_solution(inst, pats, rng_live) for _ in range(n)]
