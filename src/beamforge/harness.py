@@ -7,7 +7,6 @@ the lower-bound deviation and signal-to-noise aggregates.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -123,6 +122,10 @@ def snr(fits: list[float]) -> float:
 def _replication_seed(seed: int, trial: int, instance_index: int, rep: int) -> int:
     """The solver seed of one cell: the first 8 bytes of the SHA-256 of the
     tuple's text, so distinct cells share a seed only by a 64-bit chance."""
+    # Imported here: hashlib loads OpenSSL (about 3.6 MB resident and 3 ms),
+    # which every other command would pay through the CLI's imports.
+    import hashlib
+
     digest = hashlib.sha256(repr((seed, trial, instance_index, rep)).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
