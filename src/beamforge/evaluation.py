@@ -13,7 +13,7 @@ from .errors import (
     UnknownPatternError,
 )
 from .instance import Instance
-from .patterns import PackingPattern, PatternSet
+from .patterns import PatternSet
 
 Gene = tuple[int, int]  # (pattern id, frequency >= 1)
 
@@ -24,16 +24,9 @@ class Chromosome:
 
     genes: list[Gene]
 
-    @property
-    def gene_count(self) -> int:
-        return len(self.genes)
-
     def key(self) -> tuple[Gene, ...]:
         """Order-insensitive identity used for population distinctness."""
         return tuple(sorted(self.genes))
-
-    def copy(self) -> "Chromosome":
-        return Chromosome(list(self.genes))
 
     def pattern_ids(self) -> set[int]:
         return {pid for pid, _ in self.genes}
@@ -122,23 +115,16 @@ def combine_objective(weights, makespan, new_bar_waste_cm, new_leftover_waste_cm
     return t[0] + t[1] + t[2] + t[3]
 
 
-def waste_by_bucket(uses) -> tuple[int, int, int]:
-    """Total waste (cm) per objective bucket over (producer pattern, uses) pairs:
-    new-bar cuts, leftover-making cuts, leftover reuse."""
-    totals = [0, 0, 0]
-    for pattern, used in uses:
-        totals[pattern.bucket - 1] += pattern.waste * used
-    return totals[0], totals[1], totals[2]
-
-
-def waste_buckets_cm(ch: Chromosome, inst: Instance, pats: PatternSet) -> tuple[int, int, int]:
-    """Total waste (cm) per objective bucket of a chromosome's producer genes."""
-    uses = []
-    for pid, freq in ch.genes:
-        pattern = pats.by_id(pid)
-        if not isinstance(pattern, PackingPattern):
-            uses.append((pattern, freq))
-    return waste_by_bucket(uses)
+def waste_cm(uses, pats: PatternSet) -> tuple[int, int, int]:
+    """Total waste (cm) per objective bucket over (pattern id, uses) pairs:
+    new-bar cuts, leftover-making cuts, leftover reuse (`PatternSet.wastes`;
+    packing patterns add nothing)."""
+    totals = [0, 0, 0, 0]
+    wastes = pats.wastes
+    for pid, used in uses:
+        bucket, waste = wastes[pid]
+        totals[bucket] += waste * used
+    return totals[1], totals[2], totals[3]
 
 
 class Tally:
@@ -147,20 +133,21 @@ class Tally:
     `beams` counts beams made per (type, length index), `used` stock bars
     drawn per bar kind (1-based), and `made` / `required` the mold-length bars
     per class that producers make and packing uses need.  `add` applies one
-    change of frequency, so a caller that edits genes through it never has to
-    rescan them; `report` compares the totals with the instance.
+    change of frequency from the pattern's `PatternSet.tally_delta`, so a
+    caller that edits genes through it never has to rescan them; `short`,
+    `over` and `unbalanced` test the three feasibility conditions, and
+    `report` details them.
     """
 
     def __init__(self, inst: Instance, pats: PatternSet, genes=()):
         self.inst = inst
-        self.beams = {
-            (c, k): 0
-            for c, bt in enumerate(inst.beam_types, start=1)
-            for k in range(1, bt.num_lengths + 1)
-        }
-        self.used = {w: 0 for w in range(1, inst.num_bar_kinds + inst.num_leftover_kinds + 1)}
-        self.made = {g: 0 for g in range(1, inst.num_mold_classes + 1)}
+        self.delta = pats.tally_delta
+        self.beams = dict.fromkeys(inst.demand, 0)
+        self.used = dict.fromkeys(range(1, inst.num_bar_kinds + inst.num_leftover_kinds + 1), 0)
+        self.made = dict.fromkeys(range(1, inst.num_mold_classes + 1), 0)
         self.required = dict.fromkeys(self.made, 0)
+        # Indexed by patterns.BEAMS, REQUIRED, USED and MADE.
+        self.tables = (self.beams, self.required, self.used, self.made)
         for pid, freq in genes:
             if pid not in pats:
                 raise UnknownPatternError(f"unknown pattern id {pid}")
@@ -168,15 +155,22 @@ class Tally:
 
     def add(self, pattern, freq: int) -> None:
         """Count `freq` more uses of a pattern; a negative `freq` removes uses."""
-        if isinstance(pattern, PackingPattern):
-            for k, count in enumerate(pattern.counts, start=1):
-                self.beams[(pattern.beam_type, k)] += count * freq
-            self.required[pattern.mold_class] += pattern.bars * freq
-        else:
-            for w, need in pattern.stock_use:
-                self.used[w] += need * freq
-            for g, count in enumerate(pattern.item_counts, start=1):
-                self.made[g] += count * freq
+        tables = self.tables
+        for table, key, coefficient in self.delta[pattern.id]:
+            tables[table][key] += coefficient * freq
+
+    def short(self) -> bool:
+        """Some demanded length has fewer beams than its demand (type 1)."""
+        beams = self.beams
+        return any(beams[key] < demand for key, demand in self.inst.demand.items())
+
+    def over(self) -> bool:
+        """Some bar kind is drawn beyond its stock (type 2)."""
+        return any(used > stock for used, stock in zip(self.used.values(), self.inst.stock))
+
+    def unbalanced(self) -> bool:
+        """Some class has made bars other than its required bars (type 3)."""
+        return self.made != self.required
 
     def room(self, producer) -> int:
         """Most uses of a cut or splice that overshoot no class's required
@@ -193,11 +187,10 @@ class Tally:
     def report(self) -> InfeasibilityReport:
         inst = self.inst
         report = InfeasibilityReport()
-        for c, bt in enumerate(inst.beam_types, start=1):
-            for k, demand in enumerate(bt.demands, start=1):
-                short = demand - self.beams[(c, k)]
-                if short > 0:
-                    report.demand_shortfall[(c, k)] = short
+        for key, demand in inst.demand.items():
+            short = demand - self.beams[key]
+            if short > 0:
+                report.demand_shortfall[key] = short
         for w, used in self.used.items():
             excess = used - inst.stock[w - 1]
             if excess > 0:
@@ -280,18 +273,20 @@ def _place_genes(ch: Chromosome, inst: Instance, pats: PatternSet, assignments=N
     given; raises HorizonError at the first use that does not fit.
     """
     tables = mold_levels(inst)
+    casts, horizon = pats.casts, inst.horizon
     for pid, freq in ch.genes:
         if pid not in pats:
             raise UnknownPatternError(f"unknown pattern id {pid}")
-        pattern = pats.by_id(pid)
-        if not isinstance(pattern, PackingPattern):
+        cast = casts[pid]
+        if cast is None:
             continue
-        table = tables[pattern.mold_class - 1]
+        mold_class, duration = cast
+        table = tables[mold_class]
         starts = None if assignments is None else []
-        if place(table, pattern.duration, freq, inst.horizon, starts) < freq:
+        if place(table, duration, freq, horizon, starts) < freq:
             raise HorizonError(
                 f"pattern {pid} cannot finish within the horizon (mold "
-                f"{table.levels[table.low][0] + 1} load {table.low}, duration {pattern.duration})"
+                f"{table.levels[table.low][0] + 1} load {table.low}, duration {duration})"
             )
         for mold, start in starts or ():
             assignments[mold].append((pid, start))
@@ -303,6 +298,31 @@ def plan_makespan(ch: Chromosome, inst: Instance, pats: PatternSet) -> int:
     return max(table.high for table in _place_genes(ch, inst, pats))
 
 
+def makespan_floor(ch: Chromosome, inst: Instance, pats: PatternSet) -> int:
+    """A makespan the decoder never goes below, whatever the gene order,
+    found without placing: per class, the larger of its curing load spread
+    over its molds and its shortest curing time times its casts spread over
+    its molds (the decoded makespan itself when the class has one curing
+    time).  Finite even when the casts do not fit the horizon."""
+    classes = inst.num_mold_classes
+    load, count, shortest = [0] * classes, [0] * classes, [inst.horizon] * classes
+    casts = pats.casts
+    for pid, freq in ch.genes:
+        cast = casts[pid]
+        if cast is not None:
+            g, duration = cast
+            load[g] += duration * freq
+            count[g] += freq
+            if duration < shortest[g]:
+                shortest[g] = duration
+    floor = 0
+    for g, molds in enumerate(inst.class_molds):
+        if count[g]:
+            n = len(molds)
+            floor = max(floor, -(-load[g] // n), shortest[g] * -(-count[g] // n))
+    return floor
+
+
 def decode_schedule(ch: Chromosome, inst: Instance, pats: PatternSet) -> Schedule:
     """Turn gene frequencies into a mold/period plan.
 
@@ -311,7 +331,7 @@ def decode_schedule(ch: Chromosome, inst: Instance, pats: PatternSet) -> Schedul
     """
     assignments: list[list[tuple[int, int]]] = [[] for _ in range(inst.num_molds)]
     tables = _place_genes(ch, inst, pats, assignments)
-    w2, w3, w4 = waste_buckets_cm(ch, inst, pats)
+    w2, w3, w4 = waste_cm(ch.genes, pats)
     return Schedule(
         assignments=assignments,
         makespan=max(table.high for table in tables),
@@ -327,7 +347,17 @@ def score(ch: Chromosome, inst: Instance, pats: PatternSet) -> float:
     building its Schedule: for plans already known to be feasible.  Raises
     HorizonError like the decoder."""
     return combine_objective(
-        inst.weights, plan_makespan(ch, inst, pats), *waste_buckets_cm(ch, inst, pats)
+        inst.weights, plan_makespan(ch, inst, pats), *waste_cm(ch.genes, pats)
+    )
+
+
+def score_floor(ch: Chromosome, inst: Instance, pats: PatternSet) -> float:
+    """The objective with the makespan replaced by `makespan_floor`: never
+    above `score` (float products by weights >= 0 and float sums are
+    monotone), equal when each class has one curing time, and computed
+    without placing anything."""
+    return combine_objective(
+        inst.weights, makespan_floor(ch, inst, pats), *waste_cm(ch.genes, pats)
     )
 
 
@@ -502,12 +532,7 @@ def exhaustive_optimum(
     """
     counter = _Budget(budget)
     packing = pats.packing
-    demands = [
-        (c, k, d)
-        for c, bt in enumerate(inst.beam_types, start=1)
-        for k, d in enumerate(bt.demands, start=1)
-        if d > 0
-    ]
+    demands = [(c, k, d) for (c, k), d in inst.demand.items() if d > 0]
     ratios = _weighted_min_ratio(inst, pats)
     l1 = inst.weights[0]
     cache: dict = {}

@@ -1,9 +1,13 @@
 """Steady-state genetic algorithm with infeasibility repair.
 
 One offspring per generation: two random distinct parents, one of two
-crossovers, optional mutation, repair, and replace-worst insertion.  The
-population restarts from its elite after a stagnation streak, and every
-member of the final population gets an insert-move local search.
+crossovers, optional mutation, repair, and replace-worst insertion.  Once
+the population is full, an offspring whose `score_floor` is no better than
+the worst member is dropped without placing its casts: its score could not
+beat the worst member either.  The population restarts from its elite after
+a stagnation streak, and every member of the final population gets an
+insert-move local search, which stops once the member's makespan reaches
+its `makespan_floor`.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ from .evaluation import (
     Schedule,
     Tally,
     evaluate,
+    makespan_floor,
     mold_levels,
     place,
     plan_makespan,
     score,
+    score_floor,
 )
 from .instance import Instance
 from .patterns import (
@@ -115,11 +121,7 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
     """
     genes: list[tuple[int, int]] = []
     tally = Tally(inst, pats)
-    deficits = {
-        (c, k): d
-        for c, bt in enumerate(inst.beam_types, start=1)
-        for k, d in enumerate(bt.demands, start=1)
-    }
+    deficits = dict(inst.demand)
     short = {key for key, d in deficits.items() if d > 0}
     tables = mold_levels(inst)
     cover, slower = pats.cover, pats.slower
@@ -176,7 +178,7 @@ def _supply_bars(genes, tally, pats, rng) -> Chromosome | None:
                 tally.add(pattern, freq)
         if produced[g] < needed[g]:
             return None
-    if not tally.report().feasible:
+    if tally.over() or tally.unbalanced():
         return None
     return Chromosome(genes)
 
@@ -195,22 +197,18 @@ def _set_frequency(genes, tally, i, pattern, freq):
 def _trim_packing_surplus(genes, tally, inst, pats):
     """Lower each packing gene, in order, to the least frequency that keeps
     the demand covered given every other gene."""
-    produced = tally.beams
+    produced, demand, packed = tally.beams, inst.demand, pats.packed_lengths
     for i, (pid, freq) in enumerate(genes):
-        pattern = pats.by_id(pid)
-        if not isinstance(pattern, PackingPattern) or freq == 0:
+        lengths = packed.get(pid)
+        if lengths is None or freq == 0:
             continue
-        bt = inst.beam_types[pattern.beam_type - 1]
         minimal = 0
-        for k, count in enumerate(pattern.counts, start=1):
-            if count == 0:
-                continue
-            others = produced[(pattern.beam_type, k)] - freq * count
-            missing = bt.demands[k - 1] - others
+        for key, count in lengths.items():
+            missing = demand[key] - (produced[key] - freq * count)
             if missing > 0:
                 minimal = max(minimal, -(-missing // count))
         if minimal < freq:
-            _set_frequency(genes, tally, i, pattern, minimal)
+            _set_frequency(genes, tally, i, pats.by_id(pid), minimal)
 
 
 def _fix_demand(genes, tally, inst, pats):
@@ -220,24 +218,19 @@ def _fix_demand(genes, tally, inst, pats):
     settles every covered length.  Returns False at the first short length
     that no gene covers.
     """
-    produced = tally.beams
-    for c, bt in enumerate(inst.beam_types, start=1):
-        for k, demand in enumerate(bt.demands, start=1):
-            missing = demand - produced[(c, k)]
-            if missing <= 0:
-                continue
-            for i, (pid, freq) in enumerate(genes):
-                pattern = pats.by_id(pid)
-                if (
-                    isinstance(pattern, PackingPattern)
-                    and pattern.beam_type == c
-                    and pattern.counts[k - 1] > 0
-                ):
-                    extra = -(-missing // pattern.counts[k - 1])
-                    _set_frequency(genes, tally, i, pattern, freq + extra)
-                    break
-            else:
-                return False
+    produced, packed = tally.beams, pats.packed_lengths
+    for key, demand in inst.demand.items():
+        missing = demand - produced[key]
+        if missing <= 0:
+            continue
+        for i, (pid, freq) in enumerate(genes):
+            count = packed.get(pid, {}).get(key)
+            if count:
+                extra = -(-missing // count)
+                _set_frequency(genes, tally, i, pats.by_id(pid), freq + extra)
+                break
+        else:
+            return False
     return True
 
 
@@ -301,18 +294,20 @@ def repair(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chromosome | Non
 
     Unmet demand is fixed first, surplus packing is trimmed (always, so that
     repairing a repaired chromosome is a no-op), then stock overruns, then the
-    bar balance; the tally's final report decides.
+    bar balance; the tally decides.  Demand stays covered after its fix:
+    trimming keeps every length covered, and the later fixers edit producers
+    only.
     """
     genes = list(ch.genes)
     tally = Tally(inst, pats, genes)
-    if tally.report().type1 and not _fix_demand(genes, tally, inst, pats):
+    if tally.short() and not _fix_demand(genes, tally, inst, pats):
         return None
     _trim_packing_surplus(genes, tally, inst, pats)
-    if tally.report().type2:
+    if tally.over():
         _fix_stock(genes, tally, inst, pats)
-    if tally.report().type3:
+    if tally.unbalanced():
         _fix_balance(genes, tally, inst, pats)
-    if not tally.report().feasible:
+    if tally.over() or tally.unbalanced():
         return None
     return Chromosome([g for g in genes if g[1] > 0])
 
@@ -401,15 +396,22 @@ def mutate(
 
 
 def local_search_insert(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chromosome:
-    """One pass of insert moves, keeping the best strict makespan improvement."""
+    """One pass of insert moves, keeping the best strict makespan improvement.
+
+    No gene order decodes below `makespan_floor`, so the pass stops once the
+    best makespan reaches it.
+    """
     best = ch
     try:
         best_makespan = plan_makespan(ch, inst, pats)
     except HorizonError:
         return ch
+    floor = makespan_floor(ch, inst, pats)
     n = len(ch.genes)
     for i in range(n - 1):
         for k in range(i + 1, n):
+            if best_makespan == floor:
+                return best
             genes = list(ch.genes)
             gene = genes.pop(i)
             genes.insert(k, gene)
@@ -478,14 +480,15 @@ def run(inst: Instance, pats: PatternSet, params: GaParams) -> GaResult:
         offspring = _make_offspring(pop, inst, pats, params, rng)
         # A duplicate is never inserted, so it is not scored.
         if offspring is not None and (key := offspring.key()) not in keys:
-            try:
-                value = score(offspring, inst, pats)
-            except HorizonError:
-                value = None
-            if value is not None:
-                if len(pop.members) < params.population_size:
+            if len(pop.members) < params.population_size:
+                value = _placed_score(offspring, inst, pats)
+                if value is not None:
                     _insert_sorted(pop, keys, offspring, value, key)
-                elif value < pop.fitnesses[-1]:
+            # The score is never below the floor: an offspring whose floor
+            # cannot beat the worst member is not placed.
+            elif score_floor(offspring, inst, pats) < pop.fitnesses[-1]:
+                value = _placed_score(offspring, inst, pats)
+                if value is not None and value < pop.fitnesses[-1]:
                     worst = pop.members.pop()
                     pop.fitnesses.pop()
                     keys.discard(worst.key())
@@ -539,6 +542,14 @@ def run(inst: Instance, pats: PatternSet, params: GaParams) -> GaResult:
         rejected_constructions=rejected,
         population=pop,
     )
+
+
+def _placed_score(ch: Chromosome, inst: Instance, pats: PatternSet) -> float | None:
+    """The plan's score, or None when its casts do not fit the horizon."""
+    try:
+        return score(ch, inst, pats)
+    except HorizonError:
+        return None
 
 
 def _insert_sorted(pop: Population, keys: set, ch: Chromosome, value: float, key) -> None:

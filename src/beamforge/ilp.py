@@ -22,7 +22,7 @@ from .evaluation import (
     Schedule,
     combine_objective,
     decode_schedule,
-    waste_by_bucket,
+    waste_cm,
 )
 from .instance import Instance
 from .patterns import CuttingPattern, OverlappingPattern, PatternSet
@@ -326,9 +326,9 @@ def induced_assignment(model: IlpModel, ch: Chromosome, schedule: Schedule | Non
 def assignment_objective(model: IlpModel, a: Assignment) -> float:
     """Objective of an assignment, via the same arithmetic as chromosome fitness."""
     active = sum(a.z[t] for t in model.z_keys)
-    uses = [(p, a.cuts[p.id]) for p in model.pats.cutting]
-    uses += [(p, a.overlaps[p.id]) for p in model.pats.overlapping]
-    return combine_objective(model.inst.weights, active, *waste_by_bucket(uses))
+    uses = [(p.id, a.cuts[p.id]) for p in model.pats.cutting]
+    uses += [(p.id, a.overlaps[p.id]) for p in model.pats.overlapping]
+    return combine_objective(model.inst.weights, active, *waste_cm(uses, model.pats))
 
 
 def check_assignment(model: IlpModel, a: Assignment) -> list[Violation]:

@@ -83,6 +83,8 @@ class Instance:
     distinct_mold_lengths: list[int] = field(init=False)
     mold_classes: tuple[int, ...] = field(init=False)  # 1-based class of each mold
     class_molds: tuple[tuple[int, ...], ...] = field(init=False)  # 0-based molds per class
+    # Beams demanded per (beam type, length index), both 1-based.
+    demand: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = tuple(float(w) for w in self.weights)
@@ -94,6 +96,11 @@ class Instance:
             tuple(m for m, g in enumerate(self.mold_classes) if g == h)
             for h in range(1, len(self.distinct_mold_lengths) + 1)
         )
+        self.demand = {
+            (c, k): d
+            for c, bt in enumerate(self.beam_types, start=1)
+            for k, d in enumerate(bt.demands, start=1)
+        }
 
     # -- derived views ----------------------------------------------------
 

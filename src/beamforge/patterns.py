@@ -36,6 +36,11 @@ class PackingPattern:
 # leftover reuse, i.e. cuts of leftover bars and splices (lambda4).
 NEW_BAR, NEW_BAR_LEFTOVER, REUSE = 1, 2, 3
 
+# The counts of an evaluation.Tally that a pattern's use changes: beams made
+# per (beam type, length index), bars required per class, stock drawn per
+# bar kind and bars made per class.
+BEAMS, REQUIRED, USED, MADE = 0, 1, 2, 3
+
 
 class Producer:
     """What one use of a cut or a splice yields, consumes and wastes.
@@ -139,6 +144,44 @@ class PatternSet:
                 )
         return masks
 
+    # Per-pattern tables for the tally and the objective, built on first use
+    # and indexed by pattern id (entry 0 unused).
+
+    @cached_property
+    def tally_delta(self) -> list[tuple[tuple[int, object, int], ...]]:
+        """What one use adds to a tally: ((table, key, coefficient), ...),
+        with table one of BEAMS, REQUIRED, USED and MADE."""
+        deltas = [()] * (max(self._by_id, default=0) + 1)
+        for p in self.packing:
+            deltas[p.id] = (
+                *((BEAMS, key, n) for key, n in self.packed_lengths[p.id].items()),
+                (REQUIRED, p.mold_class, p.bars),
+            )
+        for p in self.producers:
+            deltas[p.id] = (
+                *((USED, w, need) for w, need in p.stock_use),
+                *((MADE, g, n) for g, n in enumerate(p.item_counts, start=1) if n),
+            )
+        return deltas
+
+    @cached_property
+    def casts(self) -> list[tuple[int, int] | None]:
+        """A packing pattern's (0-based mold class, curing time); None for
+        cuts and splices."""
+        casts = [None] * (max(self._by_id, default=0) + 1)
+        for p in self.packing:
+            casts[p.id] = (p.mold_class - 1, p.duration)
+        return casts
+
+    @cached_property
+    def wastes(self) -> list[tuple[int, int]]:
+        """A producer's (waste bucket, waste cm); (0, 0) for packing
+        patterns, whose waste no bucket takes."""
+        wastes = [(0, 0)] * (max(self._by_id, default=0) + 1)
+        for p in self.producers:
+            wastes[p.id] = (p.bucket, p.waste)
+        return wastes
+
     @property
     def num_packing(self) -> int:
         return len(self.packing)
@@ -237,9 +280,10 @@ def enumerate_packing_patterns(inst: Instance, maximal_only: bool = True) -> lis
 def require_castable(inst: Instance, pats: PatternSet) -> None:
     """Raise when a demanded beam can never be cast: its type cures longer
     than the horizon, or its length is in no packing pattern (fits no mold).
-    Raise too when all the stock, new bars and leftovers, is shorter than the
-    bar length the demand needs: no cut or splice makes more bar than it uses
-    (necessary, not sufficient)."""
+    Raise too when the stock, new bars and leftovers, is shorter than the bar
+    length the demand needs (no cut or splice makes more bar than it uses),
+    or makes fewer mold-length bars than any plan needs.  Both stock checks
+    are necessary, not sufficient."""
     for c, bt in enumerate(inst.beam_types, start=1):
         if any(bt.demands) and bt.curing_time > inst.horizon:
             raise InfeasibleInstanceError(
@@ -256,6 +300,39 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
             f"stock holds {cm_to_m(stock)} m of bar, the demand needs "
             f"{cm_to_m(inst.required_bar_length)} m"
         )
+    most, fewest = _most_bars(inst, pats), _fewest_bars(inst, pats)
+    if most < fewest:
+        raise InfeasibleInstanceError(
+            f"stock makes at most {most} mold-length bars, the demand needs {fewest}"
+        )
+
+
+def _most_bars(inst: Instance, pats: PatternSet) -> int:
+    """The most mold-length bars the whole stock can make: each unit of a
+    kind yields at most its richest cut's bars, or half a bar when the kind
+    only feeds splices (two leftovers per bar)."""
+    halves = [0] * len(inst.stock)  # per kind, twice the bars one unit yields
+    for p in pats.overlapping:
+        for w, _ in p.stock_use:
+            halves[w - 1] = max(halves[w - 1], 1)
+    for p in pats.cutting:
+        halves[p.source_bar - 1] = max(halves[p.source_bar - 1], 2 * p.total_items)
+    return sum(n * h for n, h in zip(inst.stock, halves)) // 2
+
+
+def _fewest_bars(inst: Instance, pats: PatternSet) -> int:
+    """The fewest mold-length bars any plan needs: per beam type, its bars
+    per cast times the casts its most demanding length takes when every cast
+    packs as many beams of that length as one pattern can."""
+    richest: dict[tuple[int, int], int] = {}
+    for p in pats.packing:
+        for key, n in pats.packed_lengths[p.id].items():
+            richest[key] = max(richest.get(key, 0), n)
+    casts: dict[int, int] = {}  # per beam type
+    for (c, k), d in inst.demand.items():
+        if d:
+            casts[c] = max(casts.get(c, 0), -(-d // richest[(c, k)]))
+    return sum(inst.beam_types[c - 1].bars_per_beam * n for c, n in casts.items())
 
 
 def _cutting_tuples(inst: Instance):

@@ -211,14 +211,15 @@ class TestWeightedBound:
 
 
 class TestStockPrecheck:
-    """All the stock, new bars and leftovers, must be at least as long as
-    the bars the demand needs (two 3.3 m beams, one bar each: 6.6 m)."""
+    """The stock, new bars and leftovers, must be at least as long as the
+    bars the demand needs (two 3.3 m beams, one bar each: 6.6 m), and must
+    make at least as many mold-length bars as any plan needs."""
 
     @staticmethod
-    def instance(bar_lengths, stock):
+    def instance(bar_lengths, stock, mold=595):
         return make_instance(
             beam_types=[beam_type([330], [2])],
-            mold_lengths=[595],
+            mold_lengths=[mold],
             horizon=4,
             bar_lengths=bar_lengths,
             num_bar_kinds=1,
@@ -226,7 +227,9 @@ class TestStockPrecheck:
         )
 
     def test_exactly_enough_passes(self):
-        inst = self.instance((460, 200), (1, 1))
+        # Two 3.3 m bars for two 3.3 m molds: exactly the length and the
+        # bars needed.
+        inst = self.instance((330,), (2,), mold=330)
         assert inst.required_bar_length == 660
         require_castable(inst, generate_patterns(inst))
 
@@ -236,10 +239,51 @@ class TestStockPrecheck:
             require_castable(inst, generate_patterns(inst))
         assert str(info.value) == "stock holds 6.59 m of bar, the demand needs 6.6 m"
 
-    def test_long_enough_but_too_few_bars_passes(self):
+    def test_long_enough_but_too_few_bars_raises(self):
         # One 6.6 m bar is long enough in total but makes a single 5.95 m
-        # bar of the two needed: the precheck is necessary, not sufficient.
-        inst = self.instance((660,), (1,))
-        bound = lower_bound(inst, generate_patterns(inst))
-        assert bound.per_gamma == [(1, 2, Fraction(65))]
-        assert bound.waste_lb_cm == 2 * Fraction(65)
+        # bar of the two needed, so `bound` and `solve` fail at once.
+        inst = self.instance((660, 50), (1, 0))
+        pats = generate_patterns(inst)
+        with pytest.raises(InfeasibleInstanceError) as info:
+            require_castable(inst, pats)
+        assert str(info.value) == "stock makes at most 1 mold-length bars, the demand needs 2"
+        with pytest.raises(InfeasibleInstanceError):
+            lower_bound(inst, pats)
+
+    @pytest.mark.parametrize(
+        "bar_lengths, stock, mold, castable",
+        [
+            ((660,), (2,), 595, True),  # one bar from each new bar
+            ((1200, 300), (1, 0), 595, True),  # one new bar cut in two
+            ((500, 320), (0, 3), 595, False),  # three leftovers: one splice
+            ((500, 320), (0, 4), 595, True),  # four leftovers: two splices
+            ((500, 800), (0, 1), 595, False),  # a leftover cut makes one bar
+            ((500, 800), (0, 2), 595, True),
+        ],
+    )
+    def test_bar_count_boundary(self, bar_lengths, stock, mold, castable):
+        inst = self.instance(bar_lengths, stock, mold)
+        pats = generate_patterns(inst)
+        if castable:
+            require_castable(inst, pats)
+        else:
+            with pytest.raises(InfeasibleInstanceError, match="mold-length bars"):
+                require_castable(inst, pats)
+
+    def test_bars_per_cast_and_richest_pattern(self):
+        # Type 1: 5 beams of 2 m, two per 5.95 m cast, 2 bars per cast:
+        # 3 casts, 6 bars.  Type 2: 3 beams of 3 m, one per cast, 1 bar per
+        # cast: 3 bars.  Nine 12 m bars make 9 * 2 bars; 4 make 8 < 9.
+        def inst(stock):
+            return make_instance(
+                beam_types=[beam_type([200], [5], bars=2), beam_type([300], [3])],
+                mold_lengths=[595, 595],
+                horizon=20,
+                bar_lengths=(1200,),
+                stock=(stock,),
+            )
+
+        require_castable(inst(5), generate_patterns(inst(5)))
+        with pytest.raises(InfeasibleInstanceError) as info:
+            require_castable(inst(4), generate_patterns(inst(4)))
+        assert str(info.value) == "stock makes at most 8 mold-length bars, the demand needs 9"

@@ -129,6 +129,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "beamforge: stock holds 36.0 m of bar, the demand needs 38.6 m\n"
 
+    @pytest.mark.parametrize("command", ["bound", "solve"])
+    def test_stock_making_too_few_bars_is_code_two(self, tmp_path, capsys, command):
+        # Two 3.3 m beams, one per 5.95 m cast, need two bars; one 6.6 m bar
+        # is long enough but makes one.
+        doc = {
+            "C": 1, "M": 1, "T": 5, "molds": [5.95],
+            "beam_types": [{"lengths": [3.3], "demands": [2], "curing": 1, "bars_per_beam": 1}],
+            "bars": [6.6, 0.5], "W": 1, "V": 1, "stock": [1, 0],
+            "epsilon": 0.3, "lambda": [1, 1, 1, 1],
+        }
+        path = tmp_path / "few.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch([command, "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "beamforge: stock makes at most 1 mold-length bars, the demand needs 2\n"
+
     def test_unknown_flag_rejected(self, instance_file, capsys):
         code = dispatch(["bound", "--instance", instance_file, "--nope"])
         capsys.readouterr()

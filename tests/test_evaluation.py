@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from heapq import heapreplace
 
@@ -19,6 +21,7 @@ from beamforge.evaluation import (
     place,
     plan_makespan,
     score,
+    score_floor,
 )
 from beamforge.ga import crossover1, random_solution, repair
 from beamforge.instance import generate_instance
@@ -205,6 +208,81 @@ class TestPlacement:
         assert scored > 100
 
 
+class TestScoreFloor:
+    @staticmethod
+    def plans(inst, pats, rng):
+        """Constructions, crossover children and repaired random gene lists."""
+        plans = [ch for ch in (random_solution(inst, pats, rng) for _ in range(150)) if ch]
+        for a, b in zip(plans[:60], plans[1:61]):
+            plans.append(crossover1(a, b, inst, pats, 0.05, rng))
+        ids = list(range(1, pats.total + 1))
+        for _ in range(150):
+            genes = [(rng.choice(ids), rng.randint(1, 8)) for _ in range(rng.randint(1, 10))]
+            plans.append(repair(Chromosome(genes), inst, pats))
+        return [ch for ch in plans if ch is not None]
+
+    @staticmethod
+    def one_curing_time_per_class(ch, pats):
+        durations = {}
+        for pid, _ in ch.genes:
+            p = pats.by_id(pid)
+            if isinstance(p, PackingPattern):
+                durations.setdefault(p.mold_class, set()).add(p.duration)
+        return all(len(d) == 1 for d in durations.values())
+
+    @pytest.mark.parametrize(
+        "which", ["cwp000", (7, 1, 5), (7, 2, 15)], ids=["cwp000", "7-1-5", "7-2-15"]
+    )
+    def test_floor_never_above_the_score(self, cwp000, cwp000_patterns, which):
+        if which == "cwp000":
+            base, pats = cwp000, cwp000_patterns
+        else:
+            base = generate_instance(*which)
+            pats = generate_patterns(base)
+        rng = random.Random(29)
+        plans = self.plans(base, pats, rng)
+        # Unit weights, then random weights with some set to zero.
+        weightings = [base.weights] + [
+            tuple(rng.choice((0.0, rng.uniform(0, 2))) for _ in range(4)) for _ in range(6)
+        ]
+        assert any(0.0 in w for w in weightings)
+        compared = equal = overflowed = 0
+        for weights in weightings:
+            inst = dataclasses.replace(base, weights=weights)
+            for ch in plans:
+                floor = score_floor(ch, inst, pats)
+                try:
+                    value = score(ch, inst, pats)
+                except HorizonError:
+                    assert math.isfinite(floor)
+                    overflowed += 1
+                    continue
+                assert floor <= value
+                compared += 1
+                if self.one_curing_time_per_class(ch, pats):
+                    assert floor.hex() == value.hex()
+                    equal += 1
+        assert compared > 500 and equal > 30
+        # The same plan set on the generated instances includes repaired
+        # plans whose casts do not fit the horizon.
+        assert overflowed > 0 or which == "cwp000"
+
+    def test_floor_below_a_mixed_class(self):
+        # One mold class: two casts of 1 period and one of 3 on two molds.
+        # The decoder places 1, 1 then 3 on mold 0 (makespan 4); the floor
+        # is ceil(5 / 2) = 3.
+        inst = make_instance(
+            beam_types=[beam_type([330], [2]), beam_type([300], [1], curing=3)],
+            mold_lengths=[595, 595],
+            horizon=9,
+            weights=(1.0, 0.0, 0.0, 0.0),
+        )
+        pats = generate_patterns(inst)
+        genes = [(find_packing(pats, 1, (1,)).id, 2), (find_packing(pats, 2, (1,)).id, 1)]
+        ch = Chromosome(genes)
+        assert (score_floor(ch, inst, pats), score(ch, inst, pats)) == (3.0, 4.0)
+
+
 class TestFitness:
     def test_reference_optimum_value(self, cwp000, cwp000_patterns):
         ch = Chromosome(cwp000_optimal_genes(cwp000_patterns))
@@ -295,6 +373,12 @@ class TestTally:
             delta = rng.randint(-freqs[pid], 6)
             tally.add(pats.by_id(pid), delta)
             freqs[pid] += delta
+            report = tally.report()
+            assert (tally.short(), tally.over(), tally.unbalanced()) == (
+                report.type1,
+                report.type2,
+                report.type3,
+            )
         fresh = Tally(inst, pats, [(pid, f) for pid, f in freqs.items() if f > 0])
         assert tally.beams == fresh.beams
         assert tally.used == fresh.used

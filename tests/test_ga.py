@@ -83,7 +83,7 @@ class TestConstruction:
             produced += 1
             assert feasible_and_schedulable(ch, cwp000, cwp000_patterns)
             assert all(freq >= 1 for _, freq in ch.genes)
-            assert len({pid for pid, _ in ch.genes}) == ch.gene_count
+            assert len({pid for pid, _ in ch.genes}) == len(ch.genes)
         assert produced > 0
 
     def test_zero_demand_gives_empty(self):
@@ -400,7 +400,7 @@ class TestMutate:
         base = Chromosome(cwp000_optimal_genes(cwp000_patterns))
         outcomes = {"ok": 0, "rejected": 0}
         for _ in range(100):
-            child = mutate(base.copy(), cwp000, cwp000_patterns, rng)
+            child = mutate(base, cwp000, cwp000_patterns, rng)
             if child is None:
                 outcomes["rejected"] += 1
                 continue

@@ -173,17 +173,17 @@ class TestRunTrials:
     def test_failed_cells_flagged_and_excluded(self):
         from conftest import beam_type, make_instance
 
-        # Demand needs five bars but only three are in stock: every
-        # replication on this instance must be flagged and left out of the
-        # aggregates.  The three 6 m bars (18 m) outmeasure the 16.5 m of
-        # beams, so the stock precheck lets the instance through.
+        # Demand needs five casts on one mold but the horizon holds four:
+        # every replication on this instance must be flagged and left out
+        # of the aggregates.  Each cast fits the horizon and the stock makes
+        # enough bars, so the prechecks let the instance through.
         stuck = make_instance(
             beam_types=[beam_type([330], [5])],
             mold_lengths=[595],
-            horizon=9,
+            horizon=4,
             bar_lengths=(600,),
             num_bar_kinds=1,
-            stock=(3,),
+            stock=(10,),
         )
         design = TrialDesign(rows=(DESIGN_ROWS[0],))
         results = run_trials(
