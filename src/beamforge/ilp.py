@@ -6,15 +6,18 @@ an earlier cast cures.  The model refers to a variable only by its column: x
 columns first (mold by mold, then period by period, each period a slot of the
 hold marker and the mold's admitted patterns), then z by period, then the
 producers, cuts before splices.  `IlpModel.names` gives each column's name.
-Constraint rows use integer coefficients only, held as parallel `coeffs` and
-`cols` arrays; lengths appear solely in the objective, as meters.
+Constraint rows come in blocks of one group and sense, each holding the
+integer coefficients and column ids of all its rows in one flat pair of
+arrays; lengths appear solely in the objective, as meters.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from operator import mul
+from functools import cached_property
+from itertools import repeat
+from operator import eq, ge, le, mul
 
 from .errors import DimensionMismatchError
 from .evaluation import (
@@ -28,6 +31,14 @@ from .instance import Instance
 from .patterns import CuttingPattern, OverlappingPattern, PatternSet
 
 
+def _ints(values=()) -> array:
+    return array("i", values)
+
+
+def _repeat(value: int, n: int) -> array:
+    return array("i", (value,)) * n
+
+
 @dataclass(slots=True)
 class Row:
     name: str
@@ -37,6 +48,56 @@ class Row:
     cols: array  # column ids, distinct within the row
     sense: str  # "<=", ">=", "="
     rhs: int
+
+
+@dataclass(slots=True)
+class RowBlock:
+    """Consecutive rows of one group and sense.  Row k has the indices
+    indices[k] and right-hand side rhs[k]; its coefficients and columns are
+    coeffs and cols from starts[k] up to starts[k + 1]."""
+
+    group: str
+    sense: str
+    indices: list[tuple] = field(default_factory=list)
+    rhs: list[int] = field(default_factory=list)
+    coeffs: array = field(default_factory=_ints)
+    cols: array = field(default_factory=_ints)
+    starts: range | array = field(default_factory=lambda: _ints((0,)))
+
+    def end_row(self, indices: tuple, rhs: int) -> None:
+        """Close a row whose terms were appended to coeffs and cols."""
+        self.indices.append(indices)
+        self.rhs.append(rhs)
+        self.starts.append(len(self.cols))
+
+    @property
+    def name_format(self) -> str:
+        """A row's name as a %-template over its indices: the group, then
+        each index after an underscore."""
+        return self.group + "_%s" * len(self.indices[0]) if self.indices else self.group
+
+    def spans(self):
+        """(indices, rhs, start, end) of each row."""
+        return zip(self.indices, self.rhs, self.starts, self.starts[1:])
+
+
+class RowView:
+    """A model's rows in order, each as a `Row` built when it is reached."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: list[RowBlock]):
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(len(block.indices) for block in self.blocks)
+
+    def __iter__(self):
+        for b in self.blocks:
+            name = b.name_format
+            for indices, rhs, s, e in b.spans():
+                coeffs, cols = b.coeffs[s:e], b.cols[s:e]
+                yield Row(name % indices, b.group, indices, coeffs, cols, b.sense, rhs)
 
 
 @dataclass
@@ -65,13 +126,24 @@ class IlpModel:
     pats: PatternSet
     x_keys: list[tuple[int, int, int]]  # the key of each x column
     fixed_zero: set[tuple[int, int, int]]
-    names: list[str]  # one per column: x, then z, then producers
-    rows: list[Row] = field(default_factory=list)
+    blocks: list[RowBlock] = field(default_factory=list)
     objective: list[tuple[float, int]] = field(default_factory=list)  # (coefficient, column)
 
     @property
     def z_keys(self) -> list[int]:
         return list(range(1, self.inst.horizon + 1))
+
+    @property
+    def rows(self) -> RowView:
+        return RowView(self.blocks)
+
+    @cached_property
+    def names(self) -> list[str]:
+        """One per column: x, then z, then producers."""
+        names = [_xname(*key) for key in self.x_keys]
+        names += [f"z_{t}" for t in self.z_keys]
+        names += [_producer_name(p) for p in self.pats.producers]
+        return names
 
     def admitted(self, mold: int) -> list[int]:
         """Packing pattern ids admitted to a 1-based mold (its length class)."""
@@ -93,16 +165,8 @@ def _producer_name(pattern) -> str:
     return f"yl_{pattern.id}_{pattern.source_bar}_{kind}"
 
 
-def _ints(values=()) -> array:
-    return array("i", values)
-
-
-def _repeat(value: int, n: int) -> array:
-    return array("i", (value,)) * n
-
-
 def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
-    """Assemble every constraint row and the weighted objective.
+    """Assemble every constraint block and the weighted objective.
 
     Mold m's x columns start at base[m]; each period is a slot of width[m]
     columns, the hold marker at position 0 and admitted[m][k - 1] at k, so
@@ -114,8 +178,8 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
     W = inst.num_bar_kinds
     V = inst.num_leftover_kinds
     R = inst.max_curing_time
-    model = IlpModel(inst=inst, pats=pats, x_keys=[], fixed_zero=set(), names=[])
-    x_keys, names = model.x_keys, model.names
+    model = IlpModel(inst=inst, pats=pats, x_keys=[], fixed_zero=set())
+    x_keys, blocks = model.x_keys, model.blocks
 
     admitted = {m: [pats.by_id(i) for i in model.admitted(m)] for m in range(1, M + 1)}
     base, width = {}, {}
@@ -128,53 +192,56 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
         for p in admitted[m]:
             late = range(max(T - p.duration + 2, 1), T + 1)
             model.fixed_zero.update((p.id, m, t) for t in late)
-    names += [_xname(*key) for key in x_keys]
-    z_base = len(names)
-    names += [f"z_{t}" for t in model.z_keys]
-    producer_base = len(names)
-    names += [_producer_name(p) for p in pats.producers]
-    col = _ints(range(len(names)))
+    z_base = len(x_keys)
+    producer_base = z_base + T
+    col = _ints(range(producer_base + len(pats.producers)))
 
-    rows = model.rows
     # One pattern (possibly the hold marker) per mold and period.
     for m in range(1, M + 1):
-        b, w = base[m], width[m]
-        ones = _repeat(1, w)
-        for t in range(1, T + 1):
-            s = b + (t - 1) * w
-            slot = col[s : s + w]
-            rows.append(Row(f"mold_slot_{m}_{t}", "mold_slot", (m, t), ones[:], slot, "<=", 1))
+        b, n = base[m], T * width[m]
+        indices = [(m, t) for t in range(1, T + 1)]
+        starts = range(0, n + 1, width[m])
+        blocks.append(
+            RowBlock("mold_slot", "<=", indices, [1] * T, _repeat(1, n), col[b : b + n], starts)
+        )
     # Every demand covered by pattern starts that can finish in time.
+    block = RowBlock("demand", ">=")
     for c, bt in enumerate(inst.beam_types, start=1):
         for k, demand in enumerate(bt.demands, start=1):
-            coeffs, cols = _ints(), _ints()
             for m in range(1, M + 1):
                 b, w = base[m], width[m]
                 for pos, pattern in enumerate(admitted[m], start=1):
                     if pattern.beam_type != c or pattern.counts[k - 1] == 0:
                         continue
                     starts = max(T - pattern.duration + 1, 0)
-                    cols += col[b + pos : b + pos + starts * w : w]
-                    coeffs += _repeat(pattern.counts[k - 1], starts)
-            rows.append(Row(f"demand_{c}_{k}", "demand", (c, k), coeffs, cols, ">=", demand))
-    # A started multi-period cast forces hold markers while it cures.
+                    block.cols += col[b + pos : b + pos + starts * w : w]
+                    block.coeffs += _repeat(pattern.counts[k - 1], starts)
+            block.end_row((c, k), demand)
+    blocks.append(block)
+    # A started multi-period cast forces hold markers while it cures: row t
+    # holds the start x_p_m_t, then the hold markers of periods t + 1 .. t + E - 1.
     for m in range(1, M + 1):
         b, w = base[m], width[m]
         for pos, pattern in enumerate(admitted[m], start=1):
-            E = pattern.duration
-            if E < 2:
+            E, n = pattern.duration, T - pattern.duration + 1
+            if E < 2 or n < 1:
                 continue
-            hold = _repeat(E - 1, 1) + _repeat(-1, E - 1)
-            for t in range(1, T - E + 2):
-                s = b + t * w  # the hold marker of period t + 1
-                cols = _ints((s - w + pos,)) + col[s : s + (E - 1) * w : w]
-                name = f"curing_hold_{m}_{t}_{pattern.id}"
-                rows.append(Row(name, "curing_hold", (m, t, pattern.id), hold[:], cols, "<=", 0))
+            cols = _repeat(0, n * E)
+            cols[0::E] = col[b + pos : b + pos + n * w : w]
+            for j in range(1, E):
+                cols[j::E] = col[b + j * w : b + (j + n) * w : w]
+            coeffs = (_repeat(E - 1, 1) + _repeat(-1, E - 1)) * n
+            indices = list(zip(repeat(m, n), range(1, n + 1), repeat(pattern.id, n)))
+            starts = range(0, n * E + 1, E)
+            blocks.append(RowBlock("curing_hold", "<=", indices, [0] * n, coeffs, cols, starts))
     # No hold marker in the first period.
-    for m in range(1, M + 1):
-        hold = _ints((base[m],))
-        rows.append(Row(f"no_initial_hold_{m}", "no_initial_hold", (m,), _ints((1,)), hold, "=", 0))
+    holds = _ints(base[m] for m in range(1, M + 1))
+    indices = [(m,) for m in range(1, M + 1)]
+    blocks.append(
+        RowBlock("no_initial_hold", "=", indices, [0] * M, _repeat(1, M), holds, range(M + 1))
+    )
     # A hold marker needs an unfinished cast started recently enough.
+    block = RowBlock("hold_link", "<=")
     for m in range(1, M + 1):
         b, w = base[m], width[m]
         # Slot positions of the casts still curing `back` periods after their start.
@@ -183,28 +250,38 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
             for back in range(2, R + 1)
         }
         for t in range(2, T + 1):
-            cols = _ints((b + (t - 1) * w,))
+            start = len(block.cols)
+            block.cols.append(b + (t - 1) * w)
             for back in range(2, min(R, t) + 1):
                 s = b + (t - back) * w
-                cols.extend([s + pos for pos in curing[back]])
-            coeffs = _repeat(1, 1) + _repeat(-1, len(cols) - 1)
-            rows.append(Row(f"hold_link_{m}_{t}", "hold_link", (m, t), coeffs, cols, "<=", 0))
+                block.cols.extend([s + pos for pos in curing[back]])
+            block.coeffs += _repeat(1, 1) + _repeat(-1, len(block.cols) - start - 1)
+            block.end_row((m, t), 0)
+    blocks.append(block)
     # Any activity in a period switches that period on.
+    cols = _ints()
     for t in range(1, T + 1):
-        cols = _ints((z_base + t - 1,))
+        cols.append(z_base + t - 1)
         for m in range(1, M + 1):
             s = base[m] + (t - 1) * width[m]
             cols += col[s : s + width[m]]
-        coeffs = _repeat(M, 1) + _repeat(-1, len(cols) - 1)
-        rows.append(Row(f"period_active_{t}", "period_active", (t,), coeffs, cols, ">=", 0))
+    n = 1 + sum(width.values())
+    coeffs = (_repeat(M, 1) + _repeat(-1, n - 1)) * T
+    indices = [(t,) for t in range(1, T + 1)]
+    blocks.append(
+        RowBlock("period_active", ">=", indices, [0] * T, coeffs, cols, range(0, n * T + 1, n))
+    )
     # Once a mold goes idle it stays idle.
     for m in range(1, M + 1):
         b, w = base[m], width[m]
-        step = _repeat(1, w) + _repeat(-1, w)
+        cols = _ints()
         for t in range(1, T):
             s = b + (t - 1) * w
-            pair = col[s : s + 2 * w]
-            rows.append(Row(f"continuity_{m}_{t}", "continuity", (m, t), step[:], pair, ">=", 0))
+            cols += col[s : s + 2 * w]
+        indices = [(m, t) for t in range(1, T)]
+        coeffs = (_repeat(1, w) + _repeat(-1, w)) * (T - 1)
+        starts = range(0, len(cols) + 1, 2 * w)
+        blocks.append(RowBlock("continuity", ">=", indices, [0] * (T - 1), coeffs, cols, starts))
     # Producer terms of the stock and bar-balance rows, cuts before splices.
     stock = {w: (_ints(), _ints()) for w in range(1, W + V + 1)}
     balance = {g: (_ints(), _ints()) for g in range(1, inst.num_mold_classes + 1)}
@@ -217,12 +294,21 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
                 balance[g][0].append(count)
                 balance[g][1].append(j)
     # Stock per bar kind: leftover kinds (cut as a bar or spliced), then new bars.
-    for w in [*range(W + 1, W + V + 1), *range(1, W + 1)]:
-        group = "leftover_stock" if w > W else "new_bar_stock"
-        rows.append(Row(f"{group}_{w}", group, (w,), *stock[w], "<=", inst.stock[w - 1]))
+    for group, kinds in (
+        ("leftover_stock", range(W + 1, W + V + 1)),
+        ("new_bar_stock", range(1, W + 1)),
+    ):
+        block = RowBlock(group, "<=")
+        for w in kinds:
+            block.coeffs += stock[w][0]
+            block.cols += stock[w][1]
+            block.end_row((w,), inst.stock[w - 1])
+        blocks.append(block)
     # Bars produced must equal bars the packed molds require.
+    block = RowBlock("bar_balance", "=")
     for g in range(1, inst.num_mold_classes + 1):
-        coeffs, cols = balance[g]
+        block.coeffs += balance[g][0]
+        block.cols += balance[g][1]
         for m in range(1, M + 1):
             if inst.mold_class_of(m - 1) != g:
                 continue
@@ -230,9 +316,10 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
             for pos, pattern in enumerate(admitted[m], start=1):
                 if pattern.bars == 0:
                     continue
-                cols += col[b + pos : b + pos + T * w : w]
-                coeffs += _repeat(-pattern.bars, T)
-        rows.append(Row(f"bar_balance_{g}", "bar_balance", (g,), coeffs, cols, "=", 0))
+                block.cols += col[b + pos : b + pos + T * w : w]
+                block.coeffs += _repeat(-pattern.bars, T)
+        block.end_row((g,), 0)
+    blocks.append(block)
 
     objective = [(inst.weights[0] * 1.0, z_base + t - 1) for t in model.z_keys]
     for j, p in enumerate(pats.producers, start=producer_base):
@@ -266,23 +353,27 @@ def emit_lp(model: IlpModel) -> str:
     minus = [" - " + name for name in names]
     prefix = _Prefixes()
 
-    def expression(coeffs, cols) -> str:
-        text = "".join(
-            [
-                plus[j] if c == 1 else minus[j] if c == -1 else prefix[c] + names[j]
-                for c, j in zip(coeffs, cols)
-                if c
-            ]
-        )
+    def terms(coeffs, cols) -> list[str]:
+        """Each term's text, empty for a zero coefficient."""
+        return [
+            plus[j] if c == 1 else minus[j] if c == -1 else prefix[c] + names[j] if c else ""
+            for c, j in zip(coeffs, cols)
+        ]
+
+    def expression(text: str) -> str:
         if not text:
             return f"0 {anchor}"
         # A leading " + " goes; a leading minus keeps its sign: "- x".
         return text[3:] if text[1] == "+" else text[1:]
 
-    objective = expression(*zip(*model.objective)) if model.objective else f"0 {anchor}"
-    lines = ["Minimize", " obj: " + objective, "Subject To"]
-    for row in model.rows:
-        lines.append(f" {row.name}: {expression(row.coeffs, row.cols)} {row.sense} {row.rhs}")
+    objective = "".join(terms(*zip(*model.objective))) if model.objective else ""
+    lines = ["Minimize", " obj: " + expression(objective), "Subject To"]
+    for block in model.blocks:
+        texts = terms(block.coeffs, block.cols)
+        name, sense = block.name_format, block.sense
+        for indices, rhs, s, e in block.spans():
+            text = expression("".join(texts[s:e]))
+            lines.append(f" {name % indices}: {text} {sense} {rhs}")
     fixed = sorted(model.fixed_zero)
     if fixed:
         lines.append("Bounds")
@@ -292,8 +383,8 @@ def emit_lp(model: IlpModel) -> str:
     lines += [" " + name for name in names[:first_general]]
     lines.append("Generals")
     lines += [" " + name for name in names[first_general:]]
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    lines += ["End", ""]
+    return "\n".join(lines)
 
 
 # -- assignment construction and checking ------------------------------------
@@ -331,10 +422,18 @@ def assignment_objective(model: IlpModel, a: Assignment) -> float:
     return combine_objective(model.inst.weights, active, *waste_cm(uses, model.pats))
 
 
+_HOLDS = {"<=": le, ">=": ge, "=": eq}
+
+
 def check_assignment(model: IlpModel, a: Assignment) -> list[Violation]:
     """Evaluate every row and domain; empty list means feasible."""
-    if a.x.keys() != set(model.x_keys):
+    # Equal sizes and every model key present mean equal key sets.
+    if len(a.x) != len(model.x_keys):
         raise DimensionMismatchError("x keys do not match the model")
+    try:
+        values = list(map(a.x.__getitem__, model.x_keys))  # column order
+    except KeyError:
+        raise DimensionMismatchError("x keys do not match the model") from None
     if a.z.keys() != set(model.z_keys):
         raise DimensionMismatchError("z keys do not match the model")
     if a.cuts.keys() != {p.id for p in model.pats.cutting}:
@@ -369,22 +468,16 @@ def check_assignment(model: IlpModel, a: Assignment) -> list[Violation]:
             )
 
     # Values in column order: x, z, then cuts before splices.
-    values = list(map(a.x.__getitem__, model.x_keys))
     values += map(a.z.__getitem__, model.z_keys)
     values += (a.cuts[p.id] for p in model.pats.cutting)
     values += (a.overlaps[p.id] for p in model.pats.overlapping)
     value_of = values.__getitem__
-    for row in model.rows:
-        lhs = sum(map(mul, row.coeffs, map(value_of, row.cols)))
-        ok = (
-            lhs <= row.rhs
-            if row.sense == "<="
-            else lhs >= row.rhs
-            if row.sense == ">="
-            else lhs == row.rhs
-        )
-        if not ok:
-            violations.append(
-                Violation(row.group, row.indices, f"{row.name}: {lhs} {row.sense} {row.rhs} fails")
-            )
+    for block in model.blocks:
+        products = list(map(mul, block.coeffs, map(value_of, block.cols)))
+        holds = _HOLDS[block.sense]
+        for indices, rhs, s, e in block.spans():
+            lhs = sum(products[s:e])
+            if not holds(lhs, rhs):
+                detail = f"{block.name_format % indices}: {lhs} {block.sense} {rhs} fails"
+                violations.append(Violation(block.group, indices, detail))
     return violations

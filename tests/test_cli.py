@@ -206,10 +206,17 @@ def mutated_documents(draw):
 
 class TestExitCodeFuzz:
     @settings(max_examples=300, deadline=None)
-    @given(doc=mutated_documents(), command=st.sampled_from(["bound", "solve"]))
+    @given(
+        doc=mutated_documents(),
+        command=st.sampled_from(["bound", "solve", "patterns", "emit-lp"]),
+    )
     def test_mutated_instance_gets_an_exit_code(self, doc, command):
-        extra = ["--ng-mult", "1"] if command == "solve" else []
         with tempfile.TemporaryDirectory() as folder:
+            extra = {
+                "solve": ["--ng-mult", "1"],
+                "patterns": ["--out", f"{folder}/patterns.json"],
+                "emit-lp": ["--out", f"{folder}/model.lp"],
+            }.get(command, [])
             path = f"{folder}/fuzz.json"
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)

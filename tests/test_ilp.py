@@ -182,22 +182,35 @@ class TestEmit:
         model = build_model(cwp000, cwp000_patterns)
         assert emit_lp(model) == emit_lp(build_model(cwp000, cwp000_patterns))
 
-    def test_round_trip_structure(self, cwp000, cwp000_patterns):
-        model = build_model(cwp000, cwp000_patterns)
+    # Generals (cutting + overlapping variables) and x columns fixed to zero.
+    ROUND_TRIP_COUNTS = {"cwp000": (22, 0), "curing": (22, 7), "generated": (22, 517)}
+
+    @pytest.mark.parametrize("which", ["cwp000", "curing", "generated"])
+    def test_round_trip_structure(self, which, cwp000, cwp000_patterns):
+        if which == "cwp000":
+            inst, pats = cwp000, cwp000_patterns
+        else:
+            inst = curing_instance() if which == "curing" else generate_instance(11, 3, 15)
+            pats = generate_patterns(inst)
+        model = build_model(inst, pats)
         objective, rows, fixed, binaries, generals = parse_lp(emit_lp(model))
         assert binaries == {f"x_{i}_{m}_{t}" for i, m, t in model.x_keys} | {
             f"z_{t}" for t in model.z_keys
         }
-        assert len(generals) == 22  # cutting + overlapping variables
-        assert not fixed
+        assert (len(generals), len(fixed)) == self.ROUND_TRIP_COUNTS[which]
+        assert fixed == {f"x_{i}_{m}_{t}" for i, m, t in model.fixed_zero}
         assert len(rows) == len(model.rows)
+        groups = set()
         for row in model.rows:
+            assert row.name == row.group + "_" + "_".join(map(str, row.indices))
+            groups.add(row.group)
             terms, sense, rhs = rows[row.name]
             assert sense == row.sense
             assert rhs == row.rhs
             assert terms == {
                 model.names[j]: float(c) for c, j in zip(row.coeffs, row.cols) if c != 0
             }
+        assert ("curing_hold" in groups) == (which != "cwp000")
         emitted_obj = {model.names[j]: coeff for coeff, j in model.objective if coeff != 0}
         assert objective == pytest.approx(emitted_obj)
 
@@ -244,6 +257,12 @@ class TestCheckAssignment:
         model = build_model(cwp000, cwp000_patterns)
         with pytest.raises(DimensionMismatchError):
             check_assignment(model, Assignment(x={}, z={}, cuts={}, overlaps={}))
+        # As many x keys as the model has, one of them foreign.
+        assignment = induced_assignment(model, Chromosome(cwp000_optimal_genes(cwp000_patterns)))
+        del assignment.x[model.x_keys[-1]]
+        assignment.x[(99, 1, 1)] = 0
+        with pytest.raises(DimensionMismatchError):
+            check_assignment(model, assignment)
 
     def test_random_feasible_chromosomes_pass(self, cwp000, cwp000_patterns):
         # Any feasible chromosome induces a feasible assignment whose model
