@@ -8,7 +8,6 @@ from .evaluation import (
     classify_infeasibility,
     decode_schedule,
     exhaustive_optimum,
-    fitness,
 )
 from .ga import GaParams, GaResult, Population, run
 from .harness import TrialDesign, TrialResult, lbd, run_trials, snr
@@ -60,7 +59,6 @@ __all__ = [
     "emit_lp",
     "enumerate_packing_patterns",
     "exhaustive_optimum",
-    "fitness",
     "generate_instance",
     "generate_patterns",
     "lbd",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -122,17 +121,9 @@ def _cmd_emit_lp(args) -> int:
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     pats = generate_patterns(inst)
-    r = pats.num_packing
-    ng = args.ng_mult * r
-    params = GaParams(
-        population_size=args.tp,
-        generations=ng,
-        mutation_rate=args.mut,
-        restart_patience=math.ceil(args.rst * ng),
-        construction_pool=args.as_mult * r,
-        crossover_kind=args.crs,
-        restart_elites=args.ter,
-        rng_seed=args.seed,
+    params = GaParams.scaled(
+        pats.num_packing, args.seed, tp=args.tp, ng_mult=args.ng_mult, mut=args.mut,
+        rst=args.rst, as_mult=args.as_mult, crs=args.crs, ter=args.ter,
     )
     result = run(inst, pats, params)
     schedule = result.schedule

@@ -1,4 +1,4 @@
-"""Chromosome encoding, schedule decoding, fitness and the exhaustive oracle."""
+"""Chromosome encoding, schedule decoding, the objective and the exhaustive oracle."""
 
 from __future__ import annotations
 
@@ -45,7 +45,14 @@ class Schedule:
 
     @property
     def objective_breakdown(self) -> tuple[float, float, float, float]:
-        return objective_terms(
+        return self._weighted()[1]
+
+    @property
+    def objective(self) -> float:
+        return self._weighted()[0]
+
+    def _weighted(self):
+        return weighted_objective(
             self.weights,
             self.makespan,
             self.new_bar_waste_cm,
@@ -54,13 +61,19 @@ class Schedule:
         )
 
     @property
-    def objective(self) -> float:
-        return combine_objective(
-            self.weights,
-            self.makespan,
-            self.new_bar_waste_cm,
-            self.new_leftover_waste_cm,
-            self.reuse_waste_cm,
+    def objective_cm(self) -> Fraction:
+        """The exact objective in centi-units, each lambda taken as the
+        `Fraction` of its float: the arithmetic of `BoundBreakdown.total_cm`,
+        so a plan and the bound compare exactly.  `objective` rounds each
+        term and the sum, so equal plans may differ there: cwp000's two
+        optimal plans are both exactly 230, but 2.3 and 2.3000000000000003
+        as floats."""
+        l1, l2, l3, l4 = (Fraction(w) for w in self.weights)
+        return (
+            100 * l1 * self.makespan
+            + l2 * self.new_bar_waste_cm
+            + l3 * self.new_leftover_waste_cm
+            + l4 * self.reuse_waste_cm
         )
 
 
@@ -99,20 +112,16 @@ class InfeasibilityReport:
         return "; ".join(parts) if parts else "feasible"
 
 
-def objective_terms(weights, makespan, new_bar_waste_cm, new_leftover_waste_cm, reuse_waste_cm):
-    """The four weighted objective terms; shared by fitness and model checking."""
+def weighted_objective(weights, makespan, new_bar_waste_cm, new_leftover_waste_cm, reuse_waste_cm):
+    """The float objective and its four weighted terms (makespan, then the
+    new-bar, leftover-making and reuse waste in meters), summed left to
+    right: the one float rule for ranking, reporting and model checking."""
     l1, l2, l3, l4 = weights
-    return (
-        l1 * makespan,
-        l2 * (new_bar_waste_cm / 100.0),
-        l3 * (new_leftover_waste_cm / 100.0),
-        l4 * (reuse_waste_cm / 100.0),
-    )
-
-
-def combine_objective(weights, makespan, new_bar_waste_cm, new_leftover_waste_cm, reuse_waste_cm):
-    t = objective_terms(weights, makespan, new_bar_waste_cm, new_leftover_waste_cm, reuse_waste_cm)
-    return t[0] + t[1] + t[2] + t[3]
+    t0 = l1 * makespan
+    t1 = l2 * (new_bar_waste_cm / 100.0)
+    t2 = l3 * (new_leftover_waste_cm / 100.0)
+    t3 = l4 * (reuse_waste_cm / 100.0)
+    return t0 + t1 + t2 + t3, (t0, t1, t2, t3)
 
 
 def waste_cm(uses, pats: PatternSet) -> tuple[int, int, int]:
@@ -346,9 +355,9 @@ def score(ch: Chromosome, inst: Instance, pats: PatternSet) -> float:
     """The objective `evaluate` would give, without classifying the plan or
     building its Schedule: for plans already known to be feasible.  Raises
     HorizonError like the decoder."""
-    return combine_objective(
+    return weighted_objective(
         inst.weights, plan_makespan(ch, inst, pats), *waste_cm(ch.genes, pats)
-    )
+    )[0]
 
 
 def score_floor(ch: Chromosome, inst: Instance, pats: PatternSet) -> float:
@@ -356,34 +365,19 @@ def score_floor(ch: Chromosome, inst: Instance, pats: PatternSet) -> float:
     above `score` (float products by weights >= 0 and float sums are
     monotone), equal when each class has one curing time, and computed
     without placing anything."""
-    return combine_objective(
+    return weighted_objective(
         inst.weights, makespan_floor(ch, inst, pats), *waste_cm(ch.genes, pats)
-    )
+    )[0]
 
 
 def evaluate(ch: Chromosome, inst: Instance, pats: PatternSet) -> tuple[float, Schedule]:
-    """Fitness plus the decoded schedule; raises on any infeasibility."""
+    """The float objective plus the decoded schedule; raises on any
+    infeasibility."""
     report = classify_infeasibility(ch, inst, pats)
     if not report.feasible:
         raise InfeasibleChromosomeError(report)
     schedule = decode_schedule(ch, inst, pats)
     return schedule.objective, schedule
-
-
-def fitness(ch: Chromosome, inst: Instance, pats: PatternSet) -> float:
-    value, _ = evaluate(ch, inst, pats)
-    return value
-
-
-def fitness_cm(ch: Chromosome, inst: Instance, pats: PatternSet) -> Fraction:
-    """Exact unweighted objective in centi-units: 100*makespan + waste cm."""
-    _, schedule = evaluate(ch, inst, pats)
-    return Fraction(
-        100 * schedule.makespan
-        + schedule.new_bar_waste_cm
-        + schedule.new_leftover_waste_cm
-        + schedule.reuse_waste_cm
-    )
 
 
 # -- exhaustive oracle ------------------------------------------------------
@@ -525,7 +519,7 @@ def exhaustive_optimum(
     max_genes: int = 8,
     budget: int = 20_000_000,
 ) -> tuple[Chromosome, float] | None:
-    """Exact minimum fitness over all feasible chromosomes within the caps.
+    """Exact minimum objective over all feasible chromosomes within the caps.
 
     Pure enumeration with pruning; independent of the genetic solver.  Returns
     None when no feasible chromosome exists within the caps.

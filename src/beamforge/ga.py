@@ -56,23 +56,42 @@ class GaParams:
             raise ValueError("population_size must be >= 2")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
-        if self.restart_elites >= self.population_size:
-            raise ValueError("restart_elites must be smaller than population_size")
+        if not 0 <= self.restart_elites < self.population_size:
+            raise ValueError("restart_elites must be in [0, population_size)")
         if self.generations < 0:
             raise ValueError("generations must be nonnegative")
+        if self.restart_patience < 0:
+            raise ValueError("restart_patience must be nonnegative")
+        if self.construction_pool < 1:
+            raise ValueError("construction_pool must be >= 1")
 
     @classmethod
-    def defaults(cls, num_packing_patterns: int, seed: int = 0) -> "GaParams":
-        """Tuned configuration, scaled by the packing pattern count."""
-        ng = 1000 * num_packing_patterns
+    def scaled(
+        cls,
+        num_packing: int,
+        seed: int = 0,
+        tp: int = 25,
+        ng_mult: int = 1000,
+        mut: float = 0.05,
+        rst: float = 0.2,
+        as_mult: int = 100,
+        crs: int = 1,
+        ter: int = 5,
+    ) -> "GaParams":
+        """Parameters scaled by the packing pattern count r: NG = ng_mult·r,
+        RST = ⌈rst·NG⌉ and AS = as_mult·r.  The defaults are the tuned
+        configuration."""
+        ng = ng_mult * num_packing
+        if not (rst >= 0 and math.isfinite(rst * ng)):
+            raise ValueError(f"restart fraction {rst!r} must be >= 0 and finite times NG = {ng}")
         return cls(
-            population_size=25,
+            population_size=tp,
             generations=ng,
-            mutation_rate=0.05,
-            restart_patience=math.ceil(0.2 * ng),
-            construction_pool=100 * num_packing_patterns,
-            crossover_kind=1,
-            restart_elites=5,
+            mutation_rate=mut,
+            restart_patience=math.ceil(rst * ng),
+            construction_pool=as_mult * num_packing,
+            crossover_kind=crs,
+            restart_elites=ter,
             rng_seed=seed,
         )
 

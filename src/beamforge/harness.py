@@ -50,17 +50,17 @@ class TrialDesign:
         """Resolve the 1-based trial row into concrete solver parameters."""
         tp_i, ng_i, mut_i, rst_i, as_i, crs_i, ter_i = self.rows[trial - 1]
         tp = TP_LEVELS[tp_i - 1]
-        ng = NG_MULT_LEVELS[ng_i - 1] * num_packing
         ter = math.ceil(TER_FRAC_LEVELS[ter_i - 1] * horizon * num_packing)
-        return GaParams(
-            population_size=tp,
-            generations=ng,
-            mutation_rate=MUT_LEVELS[mut_i - 1],
-            restart_patience=math.ceil(RST_FRAC_LEVELS[rst_i - 1] * ng),
-            construction_pool=AS_MULT_LEVELS[as_i - 1] * num_packing,
-            crossover_kind=CRS_LEVELS[crs_i - 1],
-            restart_elites=min(ter, tp - 1),  # elites must leave room in the population
-            rng_seed=seed,
+        return GaParams.scaled(
+            num_packing,
+            seed,
+            tp=tp,
+            ng_mult=NG_MULT_LEVELS[ng_i - 1],
+            mut=MUT_LEVELS[mut_i - 1],
+            rst=RST_FRAC_LEVELS[rst_i - 1],
+            as_mult=AS_MULT_LEVELS[as_i - 1],
+            crs=CRS_LEVELS[crs_i - 1],
+            ter=min(ter, tp - 1),  # elites must leave room in the population
         )
 
 
@@ -136,28 +136,20 @@ def _run_cell(payload):
     try:
         result = run(inst, pats, params)
     except BeamforgeError:
-        elapsed = time.perf_counter() - start
-        return ReplicationResult(
-            trial=trial,
-            instance=name,
-            rep=rep,
-            seed=seed,
-            fitness=None,
-            makespan=None,
-            lbd=None,
-            time_s=elapsed,
-            failed=True,
-        )
+        fitness = makespan = None
+    else:
+        fitness, makespan = result.fitness, result.makespan
     elapsed = time.perf_counter() - start
     return ReplicationResult(
         trial=trial,
         instance=name,
         rep=rep,
         seed=seed,
-        fitness=result.fitness,
-        makespan=result.makespan,
-        lbd=lbd(result.fitness, lb_total),
+        fitness=fitness,
+        makespan=makespan,
+        lbd=None if fitness is None else lbd(fitness, lb_total),
         time_s=elapsed,
+        failed=fitness is None,
     )
 
 
@@ -171,13 +163,16 @@ def run_trials(
 ) -> list[TrialResult]:
     """Run every trial on every instance; deterministic apart from wall times.
 
-    Results are keyed by (trial, instance, replication) and merged in that
-    order, so the output does not depend on worker scheduling.  Explicit
-    trial_numbers label (and seed) the design rows, letting a subset run
-    reproduce the matching cells of a full one.
+    Cells are listed in (trial, instance, replication) order and come back
+    in it (`pool.map` keeps its input order), so the output does not depend
+    on worker scheduling.  Explicit trial_numbers label (and seed) the
+    design rows, letting a subset run reproduce the matching cells of a
+    full one.
     """
     if not instances:
         raise ValueError("need at least one instance")
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, not {replications}")
     if trial_numbers is None:
         trial_numbers = list(range(1, len(design.rows) + 1))
     if len(trial_numbers) != len(design.rows):
@@ -209,8 +204,6 @@ def run_trials(
         cells = [_run_cell(p) for p in payloads]
 
     results = {t: TrialResult(trial=t) for t in trial_numbers}
-    order = {(p[0], p[1], p[3]): i for i, p in enumerate(payloads)}
-    cells.sort(key=lambda r: order[(r.trial, r.instance, r.rep)])
     for cell in cells:
         bucket = results[cell.trial]
         bucket.replications.append(cell)
@@ -236,7 +229,7 @@ def results_csv(results: list[TrialResult], include_time: bool = True) -> str:
 def trials_csv(results: list[TrialResult], include_time: bool = True) -> str:
     lines = ["trial,lbd_mean,snr,avg_time_s"]
     for trial in results:
-        if trial.replications and len(trial.fitnesses) > 0:
+        if trial.fitnesses:
             avg_time = repr(round(trial.avg_time_s, 6)) if include_time else "0"
             lines.append(f"{trial.trial},{repr(trial.lbd_mean)},{repr(trial.snr)},{avg_time}")
         else:

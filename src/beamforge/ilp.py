@@ -23,9 +23,9 @@ from .errors import DimensionMismatchError
 from .evaluation import (
     Chromosome,
     Schedule,
-    combine_objective,
     decode_schedule,
     waste_cm,
+    weighted_objective,
 )
 from .instance import Instance
 from .patterns import CuttingPattern, OverlappingPattern, PatternSet
@@ -415,11 +415,11 @@ def induced_assignment(model: IlpModel, ch: Chromosome, schedule: Schedule | Non
 
 
 def assignment_objective(model: IlpModel, a: Assignment) -> float:
-    """Objective of an assignment, via the same arithmetic as chromosome fitness."""
+    """Float objective of an assignment, by the rule that scores chromosomes."""
     active = sum(a.z[t] for t in model.z_keys)
     uses = [(p.id, a.cuts[p.id]) for p in model.pats.cutting]
     uses += [(p.id, a.overlaps[p.id]) for p in model.pats.overlapping]
-    return combine_objective(model.inst.weights, active, *waste_cm(uses, model.pats))
+    return weighted_objective(model.inst.weights, active, *waste_cm(uses, model.pats))[0]
 
 
 _HOLDS = {"<=": le, ">=": ge, "=": eq}

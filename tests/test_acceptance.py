@@ -18,9 +18,8 @@ from beamforge.evaluation import (
     Chromosome,
     classify_infeasibility,
     decode_schedule,
+    evaluate,
     exhaustive_optimum,
-    fitness,
-    fitness_cm,
 )
 from beamforge.ga import GaParams, random_solution, repair, run
 from beamforge.harness import lbd, snr
@@ -119,7 +118,7 @@ def test_criterion_3_oracle_and_solver(capfd, cwp000, cwp000_patterns):
     worst_time = 0.0
     for seed in range(20):
         start = time.perf_counter()
-        ga = run(cwp000, cwp000_patterns, GaParams.defaults(cwp000_patterns.num_packing, seed))
+        ga = run(cwp000, cwp000_patterns, GaParams.scaled(cwp000_patterns.num_packing, seed))
         elapsed = time.perf_counter() - start
         worst_time = max(worst_time, elapsed)
         assert elapsed < 10.0
@@ -136,8 +135,8 @@ def test_criterion_4_model_cross_check(capfd, cwp000, cwp000_patterns):
     violations = check_assignment(model, assignment)
     assert violations == []
     objective = assignment_objective(model, assignment)
-    assert objective == fitness(oracle_ch, cwp000, cwp000_patterns)
-    report(capfd, 4, True, "induced assignment feasible; objective equals fitness bit for bit")
+    assert objective == evaluate(oracle_ch, cwp000, cwp000_patterns)[0]
+    report(capfd, 4, True, "induced assignment feasible; objective equals evaluate bit for bit")
 
 
 def test_criterion_5_maximal_patterns_lose_nothing(capfd):
@@ -242,8 +241,8 @@ def test_criterion_7_bound_dominance(capfd):
                 except InfeasibleInstanceError:
                     retried += 1
             assert result is not None, f"no feasible start for seed={seed} C={c} M={m}"
-            exact_fit = fitness_cm(result.chromosome, inst, pats)
-            assert exact_fit >= breakdown.total_cm  # exact rational comparison
+            # Exact and weighted on both sides.
+            assert result.schedule.objective_cm >= breakdown.total_cm
             deviations.append(lbd(result.fitness, breakdown.total))
             count += 1
     mean_lbd = sum(deviations) / len(deviations)
@@ -252,7 +251,7 @@ def test_criterion_7_bound_dominance(capfd):
         capfd,
         7,
         True,
-        f"200 instances, fitness >= bound everywhere; mean LBD {mean_lbd:.4f}"
+        f"200 instances, exact objective >= bound everywhere; mean LBD {mean_lbd:.4f}"
         f" ({retried} pool escalations)",
     )
 

@@ -112,19 +112,6 @@ class TestLowerBound:
             assert lower_bound(inst, pats).total_cm >= base
 
 
-def exact_objective_cm(ch, inst, pats):
-    """The weighted objective of a plan in centi-units, as an exact fraction
-    of the float weights."""
-    schedule = decode_schedule(ch, inst, pats)
-    l1, l2, l3, l4 = (Fraction(w) for w in inst.weights)
-    return (
-        100 * l1 * schedule.makespan
-        + l2 * schedule.new_bar_waste_cm
-        + l3 * schedule.new_leftover_waste_cm
-        + l4 * schedule.reuse_waste_cm
-    )
-
-
 class TestWeightedBound:
     def test_weights_scale_each_term(self, cwp000, cwp000_patterns):
         # cwp000's cheapest bars waste 0.05 m each.  Long bars get it only
@@ -163,7 +150,7 @@ class TestWeightedBound:
         b = lower_bound(inst, pats)
         ch, _ = exhaustive_optimum(inst, pats, max_freq=5, max_genes=6)
         assert b.per_gamma == [(1, 3, Fraction(5)), (2, 2, Fraction(5))]
-        assert b.total_cm == 110 == exact_objective_cm(ch, inst, pats)
+        assert b.total_cm == 110 == decode_schedule(ch, inst, pats).objective_cm
 
     def test_oracle_floor_is_the_bound_ratio(self, cwp000, cwp000_patterns):
         # The oracle's pruning floor (m per bar) and the bound's least ratio
@@ -207,7 +194,7 @@ class TestWeightedBound:
         bound = lower_bound(inst, pats)
         result = exhaustive_optimum(inst, pats, max_freq=4, max_genes=4)
         assume(result is not None)
-        assert exact_objective_cm(result[0], inst, pats) >= bound.total_cm
+        assert decode_schedule(result[0], inst, pats).objective_cm >= bound.total_cm
 
 
 class TestStockPrecheck:

@@ -4,7 +4,7 @@ import json
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamforge.cli import dispatch, render_gantt
@@ -145,6 +145,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "beamforge: stock makes at most 1 mold-length bars, the demand needs 2\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        # 1e308 is finite, but not once multiplied by NG.
+        [["--rst", "inf"], ["--rst", "nan"], ["--rst", "1e308"], ["--rst", "-0.5"],
+         ["--ter", "-1"], ["--as-mult", "0"]],
+        ids=["rst-inf", "rst-nan", "rst-overflow", "rst-negative", "ter-negative",
+             "as-mult-zero"],
+    )
+    def test_bad_solver_flag_is_validation_error(self, instance_file, capsys, flags):
+        assert dispatch(["solve", "--instance", instance_file, "--ng-mult", "1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("beamforge: ") and err.count("\n") == 1
+
     def test_unknown_flag_rejected(self, instance_file, capsys):
         code = dispatch(["bound", "--instance", instance_file, "--nope"])
         capsys.readouterr()
@@ -204,11 +217,21 @@ def mutated_documents(draw):
     return doc
 
 
+def _flags(values: dict) -> list[str]:
+    """Command-line flags from a {flag: value or None} draw, None left out."""
+    return [part for flag, value in values.items() if value is not None for part in (flag, value)]
+
+
+def _odd(*values):
+    """A flag that is absent or one of the values, inf or nan."""
+    return st.none() | st.sampled_from([*values, "inf", "nan"])
+
+
 class TestExitCodeFuzz:
     @settings(max_examples=300, deadline=None)
     @given(
         doc=mutated_documents(),
-        command=st.sampled_from(["bound", "solve", "patterns", "emit-lp"]),
+        command=st.sampled_from(["bound", "solve", "patterns", "emit-lp", "bench"]),
     )
     def test_mutated_instance_gets_an_exit_code(self, doc, command):
         with tempfile.TemporaryDirectory() as folder:
@@ -216,11 +239,57 @@ class TestExitCodeFuzz:
                 "solve": ["--ng-mult", "1"],
                 "patterns": ["--out", f"{folder}/patterns.json"],
                 "emit-lp": ["--out", f"{folder}/model.lp"],
+                # Trial 4 is the design's cheapest row.
+                "bench": ["--reps", "1", "--seed", "0", "--trials", "4", "--no-timing",
+                          "--out", f"{folder}/results.csv"],
             }.get(command, [])
             path = f"{folder}/fuzz.json"
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-            assert dispatch([command, "--instance", path, *extra]) in {0, 1, 2, 3}
+            where = ["--instances", folder] if command == "bench" else ["--instance", path]
+            assert dispatch([command, *where, *extra]) in {0, 1, 2, 3}
+
+    # NG is at most 2 r, so every solve is quick.
+    @settings(max_examples=120, deadline=None)
+    @example(flags={"--ng-mult": "1", "--rst": "inf"})
+    @given(
+        flags=st.fixed_dictionaries(
+            {
+                "--tp": _odd("-1", "0", "1", "2", "3"),
+                "--ng-mult": st.sampled_from(["-1", "0", "1", "2", "inf", "nan"]),
+                "--mut": _odd("-1", "0", "0.5", "1", "2"),
+                "--rst": _odd("-1", "0", "0.5", "1", "2"),
+                "--as-mult": _odd("-1", "0", "1", "2"),
+                "--ter": _odd("-1", "0", "1", "2", "5"),
+            }
+        )
+    )
+    def test_solver_flags_get_an_exit_code(self, cwp000_text, flags):
+        with tempfile.TemporaryDirectory() as folder:
+            path = f"{folder}/cwp000.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(cwp000_text)
+            argv = ["solve", "--instance", path, "--out", f"{folder}/plan.json", *_flags(flags)]
+            assert dispatch(argv) in {0, 1, 2, 3}
+
+    # At most two trial-4 cells and two worker processes per bench.
+    @settings(max_examples=25, deadline=None)
+    @given(
+        flags=st.fixed_dictionaries(
+            {
+                "--reps": st.sampled_from(["-1", "0", "1", "2", "inf", "nan"]),
+                "--trials": st.sampled_from(["4", "0", "10", "-1", "4,4", "4,", "x", "inf"]),
+                "--jobs": st.sampled_from(["-1", "0", "1", "2"]),
+            }
+        )
+    )
+    def test_bench_flags_get_an_exit_code(self, cwp000_text, flags):
+        with tempfile.TemporaryDirectory() as folder:
+            with open(f"{folder}/cwp000.json", "w", encoding="utf-8") as fh:
+                fh.write(cwp000_text)
+            argv = ["bench", "--instances", folder, "--seed", "0", "--no-timing",
+                    "--out", f"{folder}/results.csv", *_flags(flags)]
+            assert dispatch(argv) in {0, 1, 2, 3}
 
 
 class TestBound:
@@ -400,6 +469,15 @@ class TestBench:
              "--out", str(out), "--trials", "4,4", "--no-timing"]
         ) == 1
         assert "repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_replication_is_validation_error(self, mini_dir, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        assert dispatch(
+            ["bench", "--instances", mini_dir, "--reps", "0", "--seed", "2",
+             "--out", str(out), "--trials", "4", "--no-timing"]
+        ) == 1
+        assert capsys.readouterr().err == "beamforge: replications must be >= 1, not 0\n"
         assert not out.exists()
 
     def test_empty_dir_is_code_two(self, tmp_path):

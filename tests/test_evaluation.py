@@ -15,8 +15,6 @@ from beamforge.evaluation import (
     decode_schedule,
     evaluate,
     exhaustive_optimum,
-    fitness,
-    fitness_cm,
     mold_levels,
     place,
     plan_makespan,
@@ -286,9 +284,17 @@ class TestScoreFloor:
 class TestFitness:
     def test_reference_optimum_value(self, cwp000, cwp000_patterns):
         ch = Chromosome(cwp000_optimal_genes(cwp000_patterns))
-        value = fitness(ch, cwp000, cwp000_patterns)
+        value, schedule = evaluate(ch, cwp000, cwp000_patterns)
         assert value == pytest.approx(2.3, abs=1e-12)
-        assert fitness_cm(ch, cwp000, cwp000_patterns) == 230
+        assert schedule.objective_cm == 230
+
+    def test_both_optima_are_exactly_230(self, cwp000, cwp000_patterns):
+        # The GA's optimum and the oracle's: equal exactly, but not as floats.
+        ga_plan = Chromosome([(2, 4), (7, 2), (9, 1), (13, 2), (6, 2), (15, 1)])
+        oracle_plan, _ = exhaustive_optimum(cwp000, cwp000_patterns, max_freq=10, max_genes=8)
+        results = [evaluate(ch, cwp000, cwp000_patterns) for ch in (ga_plan, oracle_plan)]
+        assert [value for value, _ in results] == [2.3, 2.3000000000000003]
+        assert [schedule.objective_cm for _, schedule in results] == [230, 230]
 
     def test_breakdown_terms(self, cwp000, cwp000_patterns):
         ch = Chromosome(cwp000_optimal_genes(cwp000_patterns))
@@ -311,7 +317,7 @@ class TestFitness:
     def test_infeasible_raises_with_report(self, cwp000, cwp000_patterns):
         genes = cwp000_optimal_genes(cwp000_patterns)[:1]
         with pytest.raises(InfeasibleChromosomeError) as err:
-            fitness(Chromosome(genes), cwp000, cwp000_patterns)
+            evaluate(Chromosome(genes), cwp000, cwp000_patterns)
         assert err.value.report.type1
 
     def test_gene_order_does_not_change_waste(self, cwp000, cwp000_patterns):

@@ -12,7 +12,6 @@ from beamforge.evaluation import (
     decode_schedule,
     evaluate,
     exhaustive_optimum,
-    fitness,
     mold_levels,
     place,
     score,
@@ -93,7 +92,7 @@ class TestConstruction:
         pats = generate_patterns(inst)
         ch = random_solution(inst, pats, random.Random(1))
         assert ch is not None and ch.genes == []
-        assert fitness(ch, inst, pats) == 0
+        assert evaluate(ch, inst, pats)[0] == 0
 
     def test_curing_as_long_as_the_horizon(self):
         # Each mold takes exactly one cast that cures for the whole horizon.
@@ -500,7 +499,7 @@ class TestInitPopulation:
 
 class TestRun:
     def test_reaches_reference_optimum(self, cwp000, cwp000_patterns):
-        params = GaParams.defaults(cwp000_patterns.num_packing, seed=123)
+        params = GaParams.scaled(cwp000_patterns.num_packing, seed=123)
         result = run(cwp000, cwp000_patterns, params)
         assert result.fitness == pytest.approx(2.3, abs=1e-9)
         assert result.makespan == 2
@@ -552,6 +551,26 @@ class TestRun:
             GaParams(population_size=5, restart_elites=5)
         with pytest.raises(ValueError):
             GaParams(mutation_rate=1.5)
+        for change in ({"restart_elites": -1}, {"construction_pool": 0}, {"restart_patience": -1}):
+            with pytest.raises(ValueError):
+                GaParams(**change)
+
+    def test_scaled_rule(self):
+        # NG = ng_mult * r, RST = ceil(rst * NG), AS = as_mult * r; the
+        # keyword defaults are the tuned configuration.
+        assert GaParams.scaled(6, seed=9) == GaParams(
+            population_size=25,
+            generations=6000,
+            mutation_rate=0.05,
+            restart_patience=1200,
+            construction_pool=600,
+            crossover_kind=1,
+            restart_elites=5,
+            rng_seed=9,
+        )
+        params = GaParams.scaled(7, ng_mult=3, rst=0.3, as_mult=2, ter=0)
+        assert (params.generations, params.restart_patience, params.construction_pool) == (21, 7, 14)
+        assert params.restart_elites == 0
 
     def test_final_population_invariants(self, cwp000, cwp000_patterns):
         params = GaParams(

@@ -169,6 +169,9 @@ class TestRunTrials:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             run_trials(TrialDesign(), [], replications=1, seed=0)
+        for replications in (0, -1):
+            with pytest.raises(ValueError):
+                run_trials(TrialDesign(), [("mini", mini_instance())], replications, seed=0)
 
     def test_failed_cells_flagged_and_excluded(self):
         from conftest import beam_type, make_instance

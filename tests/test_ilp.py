@@ -1,11 +1,12 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from beamforge.errors import HorizonError
-from beamforge.evaluation import Chromosome, decode_schedule, exhaustive_optimum, fitness
+from beamforge.evaluation import Chromosome, decode_schedule, evaluate, exhaustive_optimum
 from beamforge.ga import random_solution
 from beamforge.ilp import (
     Assignment,
@@ -232,7 +233,7 @@ class TestCheckAssignment:
         model = build_model(cwp000, cwp000_patterns)
         ch = Chromosome(cwp000_optimal_genes(cwp000_patterns))
         assignment = induced_assignment(model, ch)
-        assert assignment_objective(model, assignment) == fitness(ch, cwp000, cwp000_patterns)
+        assert assignment_objective(model, assignment) == evaluate(ch, cwp000, cwp000_patterns)[0]
 
     def test_double_booking_detected(self, cwp000, cwp000_patterns):
         model = build_model(cwp000, cwp000_patterns)
@@ -281,9 +282,9 @@ class TestCheckAssignment:
             schedule = decode_schedule(ch, cwp000, cwp000_patterns)
             assignment = induced_assignment(model, ch, schedule)
             assert check_assignment(model, assignment) == []
-            assert assignment_objective(model, assignment) == fitness(
+            assert assignment_objective(model, assignment) == evaluate(
                 ch, cwp000, cwp000_patterns
-            )
+            )[0]
             checked += 1
 
     def test_curing_continuation_checked(self):
@@ -343,8 +344,10 @@ class TestDistinctWeights:
             ]
         )
         # 1.5 * 2 + 0.7 * 0.10 + 2.25 * 0.15 + 3.1 * 0.05
-        value = fitness(ch, inst, pats)
+        value, schedule = evaluate(ch, inst, pats)
         assert value == 3.5625
+        l1, l2, l3, l4 = (Fraction(w) for w in inst.weights)
+        assert schedule.objective_cm == 100 * l1 * 2 + l2 * 10 + l3 * 15 + l4 * 5
         model = build_model(inst, pats)
         assignment = induced_assignment(model, ch)
         assert check_assignment(model, assignment) == []
