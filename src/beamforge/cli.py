@@ -8,6 +8,7 @@ boundary is in decimal meters.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -26,6 +27,14 @@ from .instance import cm_to_m, generate_instance, load_instance, serialize_insta
 from .patterns import PatternSet, generate_patterns
 
 _B36 = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+# The solver flags of `solve` and their defaults: the keywords of
+# `GaParams.scaled`, whose defaults are the tuned configuration.
+_TUNED = {
+    name: param.default
+    for name, param in inspect.signature(GaParams.scaled).parameters.items()
+    if param.default is not param.empty
+}
 
 
 def _write(text: str, path: str | None) -> None:
@@ -121,10 +130,7 @@ def _cmd_emit_lp(args) -> int:
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     pats = generate_patterns(inst)
-    params = GaParams.scaled(
-        pats.num_packing, args.seed, tp=args.tp, ng_mult=args.ng_mult, mut=args.mut,
-        rst=args.rst, as_mult=args.as_mult, crs=args.crs, ter=args.ter,
-    )
+    params = GaParams.scaled(pats.num_packing, **{name: getattr(args, name) for name in _TUNED})
     result = run(inst, pats, params)
     schedule = result.schedule
     doc = {
@@ -153,7 +159,24 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _trial_numbers(text: str, count: int) -> list[int]:
+    """The trial numbers a --trials list names, each in 1..count; run_trials
+    rejects a repeated one."""
+    try:
+        numbers = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--trials takes comma-separated trial numbers, not {text!r}") from None
+    if any(t < 1 or t > count for t in numbers):
+        raise ValueError(f"trial numbers must be in 1..{count}")
+    return numbers
+
+
 def _cmd_bench(args) -> int:
+    design = TrialDesign()
+    trial_numbers = None
+    if args.trials is not None:
+        trial_numbers = _trial_numbers(args.trials, len(design.rows))
+        design = TrialDesign(rows=tuple(design.rows[t - 1] for t in trial_numbers))
     names = sorted(n for n in os.listdir(args.instances) if n.endswith(".json"))
     if not names:
         raise InfeasibleInstanceError(f"no instance files in {args.instances}")
@@ -161,13 +184,6 @@ def _cmd_bench(args) -> int:
         (name[: -len(".json")], load_instance(os.path.join(args.instances, name)))
         for name in names
     ]
-    design = TrialDesign()
-    trial_numbers = None
-    if args.trials:
-        trial_numbers = [int(part) for part in args.trials.split(",")]
-        if any(t < 1 or t > len(design.rows) for t in trial_numbers):
-            raise ValueError(f"trial numbers must be in 1..{len(design.rows)}")
-        design = TrialDesign(rows=tuple(design.rows[t - 1] for t in trial_numbers))
     results = run_trials(
         design, instances, args.reps, args.seed, jobs=args.jobs, trial_numbers=trial_numbers
     )
@@ -210,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the genetic solver")
     p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tp", type=int, default=25)
-    p.add_argument("--ng-mult", type=int, default=1000)
-    p.add_argument("--mut", type=float, default=0.05)
-    p.add_argument("--rst", type=float, default=0.2)
-    p.add_argument("--as-mult", type=int, default=100, dest="as_mult")
-    p.add_argument("--crs", type=int, choices=(1, 2), default=1)
-    p.add_argument("--ter", type=int, default=5)
+    p.add_argument("--seed", type=int, default=_TUNED["seed"])
+    p.add_argument("--tp", type=int, default=_TUNED["tp"])
+    p.add_argument("--ng-mult", type=int, default=_TUNED["ng_mult"])
+    p.add_argument("--mut", type=float, default=_TUNED["mut"])
+    p.add_argument("--rst", type=float, default=_TUNED["rst"])
+    p.add_argument("--as-mult", type=int, default=_TUNED["as_mult"])
+    p.add_argument("--crs", type=int, choices=(1, 2), default=_TUNED["crs"])
+    p.add_argument("--ter", type=int, default=_TUNED["ter"])
     p.add_argument("--out")
     p.add_argument("--gantt", action="store_true")
     p.add_argument("--trace")

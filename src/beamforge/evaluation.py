@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from operator import gt, lt
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -136,77 +137,174 @@ def waste_cm(uses, pats: PatternSet) -> tuple[int, int, int]:
     return totals[1], totals[2], totals[3]
 
 
+class TallyLayout:
+    """Where a Tally of one (instance, pattern set) keeps each count, and
+    what every pattern changes there.
+
+    A tally is one int list over dense slots: beams made per demanded
+    (type, length) in `inst.demand` order, then bars required per class,
+    bars made per class and stock drawn per bar kind, the last three
+    sections starting at `required`, `made` and `used`.  `zero` is the empty
+    tally; `demand` and `stock` are the limits of the first and last
+    sections.
+
+    Per pattern id:
+    - `delta`: the ((slot, coefficient), ...) one use adds; a dict, so an
+      unknown id has no entry;
+    - `packs`: a packing pattern's {beam slot: count}, {} for a producer;
+    - `bar_room` and `stock_room`: a producer's (required slot, made slot,
+      bars per use) and (stock, used slot, need per use) terms of
+      `Tally.room`.
+    The lists are indexed by id, entry 0 unused.  Per class and per bar kind
+    (0-based), `makers` and `drawers` give {id: bars or need per use} of the
+    producers that make that class alone and of those that draw that kind;
+    ids from `first_splice` on are splices.  For construction, `cover` is
+    per beam slot the mask of the packing patterns that pack it
+    (`PatternSet.cover`), and `pools` per class the ids of the cuts and of
+    the splices that make it.
+    """
+
+    def __init__(self, inst: Instance, pats: PatternSet):
+        self.inst = inst
+        self.keys = keys = list(inst.demand)
+        self.demand = list(inst.demand.values())
+        self.stock = inst.stock[:]  # a copy of the same type, to tell a change
+        classes = inst.num_mold_classes
+        self.required = len(keys)
+        self.made = self.required + classes
+        self.used = self.made + classes
+        self.zero = [0] * (self.used + len(self.stock))
+        size = pats.total + 1
+        self.delta = {}
+        self.packs = [{}] * size
+        self.bar_room = [()] * size
+        self.stock_room = [()] * size
+        self.makers = [{} for _ in range(classes)]
+        self.drawers = [{} for _ in self.stock]
+        self.first_splice = pats.num_packing + pats.num_cutting + 1
+        self.pools = [([], []) for _ in range(classes)]
+        slot = {key: s for s, key in enumerate(keys)}
+        for p in pats.packing:
+            packs = {slot[key]: n for key, n in pats.packed_lengths[p.id].items()}
+            self.packs[p.id] = packs
+            self.delta[p.id] = (*packs.items(), (self.required + p.mold_class - 1, p.bars))
+        for p in pats.producers:
+            made = [(g, n) for g, n in enumerate(p.item_counts) if n]  # 0-based classes
+            used = [(w - 1, need) for w, need in p.stock_use]  # 0-based kinds
+            self.delta[p.id] = (
+                *((self.used + w, need) for w, need in used),
+                *((self.made + g, n) for g, n in made),
+            )
+            self.bar_room[p.id] = tuple((self.required + g, self.made + g, n) for g, n in made)
+            self.stock_room[p.id] = tuple((self.stock[w], self.used + w, need) for w, need in used)
+            if len(made) == 1:
+                g, n = made[0]
+                self.makers[g][p.id] = n
+            for w, need in used:
+                self.drawers[w][p.id] = need
+            for g, _ in made:
+                self.pools[g][0 if p.id < self.first_splice else 1].append(p.id)
+        self.cover = [pats.cover.get(key, 0) for key in keys]
+
+
+def tally_layout(inst: Instance, pats: PatternSet) -> TallyLayout:
+    """The layout of (inst, pats), built on first use and kept in
+    `pats.layouts`, and built again when the instance's stock changed
+    (`inst.demand` is fixed when the instance is made)."""
+    layout = pats.layouts.get(id(inst))
+    # The entry keeps its instance alive, so no other instance has its id
+    # while it lives; a PatternSet copied from another process may hold
+    # entries of instances that are gone.
+    if layout is None or layout.inst is not inst or layout.stock != inst.stock:
+        layout = pats.layouts[id(inst)] = TallyLayout(inst, pats)
+    return layout
+
+
 class Tally:
     """Demand, stock and bar-balance totals of a gene list, kept current.
 
-    `beams` counts beams made per (type, length index), `used` stock bars
-    drawn per bar kind (1-based), and `made` / `required` the mold-length bars
-    per class that producers make and packing uses need.  `add` applies one
-    change of frequency from the pattern's `PatternSet.tally_delta`, so a
-    caller that edits genes through it never has to rescan them; `short`,
-    `over` and `unbalanced` test the three feasibility conditions, and
-    `report` details them.
+    `counts` is one int list over the slots of a `TallyLayout`, started as a
+    copy of its `zero`.  `add` applies one change of a pattern's frequency
+    through the layout's `delta`, so a caller that edits genes through it
+    never has to rescan them; `short`, `over` and `unbalanced` test the
+    three feasibility conditions, and `report` details them.  `beams` (per
+    (type, length index)), `required`, `made` (per class) and `used` (per
+    bar kind, 1-based) are dict copies of the counts, for reading.
     """
 
-    def __init__(self, inst: Instance, pats: PatternSet, genes=()):
-        self.inst = inst
-        self.delta = pats.tally_delta
-        self.beams = dict.fromkeys(inst.demand, 0)
-        self.used = dict.fromkeys(range(1, inst.num_bar_kinds + inst.num_leftover_kinds + 1), 0)
-        self.made = dict.fromkeys(range(1, inst.num_mold_classes + 1), 0)
-        self.required = dict.fromkeys(self.made, 0)
-        # Indexed by patterns.BEAMS, REQUIRED, USED and MADE.
-        self.tables = (self.beams, self.required, self.used, self.made)
-        for pid, freq in genes:
-            if pid not in pats:
-                raise UnknownPatternError(f"unknown pattern id {pid}")
-            self.add(pats.by_id(pid), freq)
+    __slots__ = ("layout", "counts")
 
-    def add(self, pattern, freq: int) -> None:
+    def __init__(self, inst: Instance, pats: PatternSet, genes=()):
+        self.layout = layout = tally_layout(inst, pats)
+        self.counts = counts = layout.zero[:]
+        delta = layout.delta
+        try:
+            for pid, freq in genes:
+                for slot, coefficient in delta[pid]:
+                    counts[slot] += coefficient * freq
+        except KeyError:
+            raise UnknownPatternError(f"unknown pattern id {pid}") from None
+
+    def add(self, pid: int, freq: int) -> None:
         """Count `freq` more uses of a pattern; a negative `freq` removes uses."""
-        tables = self.tables
-        for table, key, coefficient in self.delta[pattern.id]:
-            tables[table][key] += coefficient * freq
+        counts = self.counts
+        for slot, coefficient in self.layout.delta[pid]:
+            counts[slot] += coefficient * freq
 
     def short(self) -> bool:
         """Some demanded length has fewer beams than its demand (type 1)."""
-        beams = self.beams
-        return any(beams[key] < demand for key, demand in self.inst.demand.items())
+        return any(map(lt, self.counts, self.layout.demand))
 
     def over(self) -> bool:
         """Some bar kind is drawn beyond its stock (type 2)."""
-        return any(used > stock for used, stock in zip(self.used.values(), self.inst.stock))
+        layout = self.layout
+        return any(map(gt, self.counts[layout.used :], layout.stock))
 
     def unbalanced(self) -> bool:
         """Some class has made bars other than its required bars (type 3)."""
-        return self.made != self.required
+        layout, counts = self.layout, self.counts
+        return counts[layout.required : layout.made] != counts[layout.made : layout.used]
 
-    def room(self, producer) -> int:
+    def room(self, pid: int) -> int:
         """Most uses of a cut or splice that overshoot no class's required
         bars and no stock kind (0 when one is already over)."""
-        stock = self.inst.stock
-        limits = [
-            (self.required[g] - self.made[g]) // count
-            for g, count in enumerate(producer.item_counts, start=1)
-            if count > 0
-        ]
-        limits += [(stock[w - 1] - self.used[w]) // need for w, need in producer.stock_use]
+        layout, counts = self.layout, self.counts
+        limits = [(counts[r] - counts[m]) // n for r, m, n in layout.bar_room[pid]]
+        limits += [(stock - counts[u]) // n for stock, u, n in layout.stock_room[pid]]
         return max(0, min(limits))
 
+    def _section(self, start: int, stop: int) -> dict[int, int]:
+        return dict(enumerate(self.counts[start:stop], start=1))
+
+    @property
+    def beams(self) -> dict[tuple[int, int], int]:
+        return dict(zip(self.layout.keys, self.counts))
+
+    @property
+    def required(self) -> dict[int, int]:
+        return self._section(self.layout.required, self.layout.made)
+
+    @property
+    def made(self) -> dict[int, int]:
+        return self._section(self.layout.made, self.layout.used)
+
+    @property
+    def used(self) -> dict[int, int]:
+        return self._section(self.layout.used, len(self.counts))
+
     def report(self) -> InfeasibilityReport:
-        inst = self.inst
+        layout, counts = self.layout, self.counts
         report = InfeasibilityReport()
-        for key, demand in inst.demand.items():
-            short = demand - self.beams[key]
-            if short > 0:
-                report.demand_shortfall[key] = short
-        for w, used in self.used.items():
-            excess = used - inst.stock[w - 1]
-            if excess > 0:
-                report.stock_excess[w] = excess
-        for g, made in self.made.items():
-            if made != self.required[g]:
-                report.balance_mismatch[g] = (made, self.required[g])
+        for key, made, demand in zip(layout.keys, counts, layout.demand):
+            if made < demand:
+                report.demand_shortfall[key] = demand - made
+        for w, (used, stock) in enumerate(zip(counts[layout.used :], layout.stock), start=1):
+            if used > stock:
+                report.stock_excess[w] = used - stock
+        required, made = self.required, self.made
+        for g in made:
+            if made[g] != required[g]:
+                report.balance_mismatch[g] = (made[g], required[g])
         return report
 
 

@@ -32,12 +32,7 @@ from .evaluation import (
     score_floor,
 )
 from .instance import Instance
-from .patterns import (
-    CuttingPattern,
-    PackingPattern,
-    PatternSet,
-    require_castable,
-)
+from .patterns import PatternSet, require_castable
 
 
 @dataclass
@@ -140,10 +135,11 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
     """
     genes: list[tuple[int, int]] = []
     tally = Tally(inst, pats)
-    deficits = dict(inst.demand)
-    short = {key for key, d in deficits.items() if d > 0}
+    layout, counts = tally.layout, tally.counts
+    demand, cover, packs = layout.demand, layout.cover, layout.packs
+    short = {s for s, d in enumerate(demand) if d > 0}  # beam slots
     tables = mold_levels(inst)
-    cover, slower = pats.cover, pats.slower
+    slower = pats.slower
     # The patterns whose class can still place them: mold loads only grow,
     # so once a pattern places fewer uses than wanted, every pattern of its
     # class that cures as long or longer would place 0.
@@ -154,16 +150,18 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
         # it is never live again: a uniform pick among the live patterns is
         # a uniform pick among the unpicked ones that are live.
         live = 0
-        for key in short:
-            reach = cover.get(key, 0) & allowed
+        for s in short:
+            reach = cover[s] & allowed
             if not reach:
                 return None  # no pattern left can cover this length
             live |= reach
         for _ in range(rng.randrange(live.bit_count())):
             live &= live - 1
         pattern = pats.packing[(live & -live).bit_length() - 1]
-        lengths = pats.packed_lengths[pattern.id]
-        wanted = max(-(-deficits[key] // count) for key, count in lengths.items() if key in short)
+        lengths = packs[pattern.id]
+        wanted = max(
+            -(-(demand[s] - counts[s]) // count) for s, count in lengths.items() if s in short
+        )
         # Cap the uses so each one still finishes within the horizon.
         freq = place(tables[pattern.mold_class - 1], pattern.duration, wanted, inst.horizon)
         if freq < wanted:
@@ -171,31 +169,31 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
         if freq == 0:
             continue
         genes.append((pattern.id, freq))
-        tally.add(pattern, freq)
-        for key, count in lengths.items():
-            deficits[key] = max(0, deficits[key] - count * freq)
-            if not deficits[key]:
-                short.discard(key)
-    return _supply_bars(genes, tally, pats, rng)
+        tally.add(pattern.id, freq)
+        for s in lengths:
+            if counts[s] >= demand[s]:
+                short.discard(s)
+    return _supply_bars(genes, tally, rng)
 
 
-def _supply_bars(genes, tally, pats, rng) -> Chromosome | None:
+def _supply_bars(genes, tally, rng) -> Chromosome | None:
     """Add bar producers to packing genes: per class, random cuts and then,
     if still short, random splices, each used as often as it has room."""
-    needed, produced = tally.required, tally.made
+    layout, counts = tally.layout, tally.counts
     chosen: set[int] = set()
-    for g in needed:
-        for pool in (pats.cutting_producing(g), pats.overlapping_producing(g)):
-            candidates = [p for p in pool if p.id not in chosen]
-            while produced[g] < needed[g] and candidates:
-                pattern = candidates.pop(rng.randrange(len(candidates)))
-                chosen.add(pattern.id)
-                freq = tally.room(pattern)
+    for g, pools in enumerate(layout.pools):
+        needed, made = layout.required + g, layout.made + g
+        for pool in pools:
+            candidates = [pid for pid in pool if pid not in chosen]
+            while counts[made] < counts[needed] and candidates:
+                pid = candidates.pop(rng.randrange(len(candidates)))
+                chosen.add(pid)
+                freq = tally.room(pid)
                 if freq == 0:
                     continue
-                genes.append((pattern.id, freq))
-                tally.add(pattern, freq)
-        if produced[g] < needed[g]:
+                genes.append((pid, freq))
+                tally.add(pid, freq)
+        if counts[made] < counts[needed]:
             return None
     if tally.over() or tally.unbalanced():
         return None
@@ -205,107 +203,106 @@ def _supply_bars(genes, tally, pats, rng) -> Chromosome | None:
 # -- repair -----------------------------------------------------------------
 #
 # Every fixer changes a gene's frequency only through _set_frequency, so the
-# tally built once by repair stays equal to a fresh tally of the genes.
+# tally built once by repair stays equal to a fresh tally of the genes.  The
+# fixers read and edit the tally's slots (`TallyLayout`).
 
 
-def _set_frequency(genes, tally, i, pattern, freq):
-    tally.add(pattern, freq - genes[i][1])
-    genes[i] = (pattern.id, freq)
+def _set_frequency(genes, tally, i, pid, freq):
+    tally.add(pid, freq - genes[i][1])
+    genes[i] = (pid, freq)
 
 
-def _trim_packing_surplus(genes, tally, inst, pats):
+def _trim_packing_surplus(genes, tally):
     """Lower each packing gene, in order, to the least frequency that keeps
-    the demand covered given every other gene."""
-    produced, demand, packed = tally.beams, inst.demand, pats.packed_lengths
+    the demand covered given every other gene: by the whole uses that every
+    length it packs has to spare."""
+    layout, counts = tally.layout, tally.counts
+    demand, packs = layout.demand, layout.packs
     for i, (pid, freq) in enumerate(genes):
-        lengths = packed.get(pid)
-        if lengths is None or freq == 0:
+        lengths = packs[pid]
+        if not lengths or freq == 0:
             continue
-        minimal = 0
-        for key, count in lengths.items():
-            missing = demand[key] - (produced[key] - freq * count)
-            if missing > 0:
-                minimal = max(minimal, -(-missing // count))
-        if minimal < freq:
-            _set_frequency(genes, tally, i, pats.by_id(pid), minimal)
+        spare = freq
+        for s, count in lengths.items():
+            uses = (counts[s] - demand[s]) // count
+            if uses < spare:
+                spare = uses
+                if spare <= 0:
+                    break
+        if spare > 0:
+            _set_frequency(genes, tally, i, pid, freq - spare)
 
 
-def _fix_demand(genes, tally, inst, pats):
+def _fix_demand(genes, tally):
     """Raise the first covering packing gene of each short length, in one pass.
 
     Each raise covers its length and frequencies only rise, so one pass
     settles every covered length.  Returns False at the first short length
     that no gene covers.
     """
-    produced, packed = tally.beams, pats.packed_lengths
-    for key, demand in inst.demand.items():
-        missing = demand - produced[key]
+    counts, packs = tally.counts, tally.layout.packs
+    for s, demand in enumerate(tally.layout.demand):
+        missing = demand - counts[s]
         if missing <= 0:
             continue
         for i, (pid, freq) in enumerate(genes):
-            count = packed.get(pid, {}).get(key)
+            count = packs[pid].get(s)
             if count:
-                extra = -(-missing // count)
-                _set_frequency(genes, tally, i, pats.by_id(pid), freq + extra)
+                _set_frequency(genes, tally, i, pid, freq + -(-missing // count))
                 break
         else:
             return False
     return True
 
 
-def _producer_genes(genes, pats, accepts):
-    """(index, pattern) of the producer genes `accepts` takes: cuts first,
+def _producer_genes(genes, takes, first_splice):
+    """Indices of the genes whose pattern is a key of `takes`: cuts first,
     then splices, each in gene order."""
-    cuts, splices = [], []
-    for i, (pid, _) in enumerate(genes):
-        pattern = pats.by_id(pid)
-        if not isinstance(pattern, PackingPattern) and accepts(pattern):
-            (cuts if isinstance(pattern, CuttingPattern) else splices).append((i, pattern))
-    return cuts + splices
+    found = [i for i, (pid, _) in enumerate(genes) if pid in takes]
+    found.sort(key=lambda i: genes[i][0] >= first_splice)
+    return found
 
 
-def _fix_stock(genes, tally, inst, pats):
+def _fix_stock(genes, tally):
     """Lower the genes that draw each overrun kind, cuts before splices, by
     the fewest whole uses that clear the excess, until the stock holds."""
-    usage = tally.used
-    for w in usage:
-        stock = inst.stock[w - 1]
-        if usage[w] <= stock:
+    layout, counts = tally.layout, tally.counts
+    for w, (stock, drawers) in enumerate(zip(layout.stock, layout.drawers)):
+        used = layout.used + w
+        if counts[used] <= stock:
             continue
-        for i, pattern in _producer_genes(genes, pats, lambda p: w in dict(p.stock_use)):
-            excess = usage[w] - stock
+        for i in _producer_genes(genes, drawers, layout.first_splice):
+            excess = counts[used] - stock
             if excess <= 0:
                 break
-            freq = genes[i][1]
-            need = dict(pattern.stock_use)[w]
-            _set_frequency(genes, tally, i, pattern, freq - min(freq, -(-excess // need)))
+            pid, freq = genes[i]
+            _set_frequency(genes, tally, i, pid, freq - min(freq, -(-excess // drawers[pid])))
 
 
-def _fix_balance(genes, tally, inst, pats):
+def _fix_balance(genes, tally):
     """Align produced bars with required bars class by class.
 
     Only genes already present that make class g alone are adjusted, cuts
     before splices: surplus is cut in whole uses, then a deficit is filled
     with each gene's room (`Tally.room`).
     """
-    made = tally.made
-    for g, required in tally.required.items():
-        if made[g] == required:
+    layout, counts = tally.layout, tally.counts
+    for g, makers in enumerate(layout.makers):
+        made, required = layout.made + g, counts[layout.required + g]
+        if counts[made] == required:
             continue
-        candidates = _producer_genes(
-            genes, pats, lambda p: p.item_counts[g - 1] == p.total_items
-        )
-        for i, pattern in candidates:
-            over = made[g] - required
+        candidates = _producer_genes(genes, makers, layout.first_splice)
+        for i in candidates:
+            over = counts[made] - required
             if over <= 0:
                 break
-            freq = genes[i][1]
-            per_use = pattern.item_counts[g - 1]
-            _set_frequency(genes, tally, i, pattern, freq - min(freq, -(-over // per_use)))
-        for i, pattern in candidates:
-            if made[g] >= required:
+            pid, freq = genes[i]
+            _set_frequency(genes, tally, i, pid, freq - min(freq, -(-over // makers[pid])))
+        for i in candidates:
+            if counts[made] >= required:
                 break
-            _set_frequency(genes, tally, i, pattern, genes[i][1] + tally.room(pattern))
+            pid, freq = genes[i]
+            _set_frequency(genes, tally, i, pid, freq + tally.room(pid))
 
 
 def repair(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chromosome | None:
@@ -319,13 +316,13 @@ def repair(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chromosome | Non
     """
     genes = list(ch.genes)
     tally = Tally(inst, pats, genes)
-    if tally.short() and not _fix_demand(genes, tally, inst, pats):
+    if tally.short() and not _fix_demand(genes, tally):
         return None
-    _trim_packing_surplus(genes, tally, inst, pats)
+    _trim_packing_surplus(genes, tally)
     if tally.over():
-        _fix_stock(genes, tally, inst, pats)
+        _fix_stock(genes, tally)
     if tally.unbalanced():
-        _fix_balance(genes, tally, inst, pats)
+        _fix_balance(genes, tally)
     if tally.over() or tally.unbalanced():
         return None
     return Chromosome([g for g in genes if g[1] > 0])

@@ -36,11 +36,6 @@ class PackingPattern:
 # leftover reuse, i.e. cuts of leftover bars and splices (lambda4).
 NEW_BAR, NEW_BAR_LEFTOVER, REUSE = 1, 2, 3
 
-# The counts of an evaluation.Tally that a pattern's use changes: beams made
-# per (beam type, length index), bars required per class, stock drawn per
-# bar kind and bars made per class.
-BEAMS, REQUIRED, USED, MADE = 0, 1, 2, 3
-
 
 class Producer:
     """What one use of a cut or a splice yields, consumes and wastes.
@@ -116,6 +111,9 @@ class PatternSet:
             p.id: {(p.beam_type, k): n for k, n in enumerate(p.counts, start=1) if n}
             for p in self.packing
         }
+        # Tables other modules build per instance over these patterns, keyed
+        # by id(instance) (evaluation.tally_layout).
+        self.layouts = {}
 
     # Construction's draw index, built on first use: bitmasks over the packing
     # patterns, bit i standing for packing[i].
@@ -144,25 +142,8 @@ class PatternSet:
                 )
         return masks
 
-    # Per-pattern tables for the tally and the objective, built on first use
-    # and indexed by pattern id (entry 0 unused).
-
-    @cached_property
-    def tally_delta(self) -> list[tuple[tuple[int, object, int], ...]]:
-        """What one use adds to a tally: ((table, key, coefficient), ...),
-        with table one of BEAMS, REQUIRED, USED and MADE."""
-        deltas = [()] * (max(self._by_id, default=0) + 1)
-        for p in self.packing:
-            deltas[p.id] = (
-                *((BEAMS, key, n) for key, n in self.packed_lengths[p.id].items()),
-                (REQUIRED, p.mold_class, p.bars),
-            )
-        for p in self.producers:
-            deltas[p.id] = (
-                *((USED, w, need) for w, need in p.stock_use),
-                *((MADE, g, n) for g, n in enumerate(p.item_counts, start=1) if n),
-            )
-        return deltas
+    # Per-pattern tables for the decoder and the objective, built on first
+    # use and indexed by pattern id (entry 0 unused).
 
     @cached_property
     def casts(self) -> list[tuple[int, int] | None]:
@@ -211,12 +192,6 @@ class PatternSet:
 
     def packing_in_class(self, mold_class: int) -> list[PackingPattern]:
         return [p for p in self.packing if p.mold_class == mold_class]
-
-    def cutting_producing(self, mold_class: int) -> list[CuttingPattern]:
-        return [p for p in self.cutting if p.item_counts[mold_class - 1] > 0]
-
-    def overlapping_producing(self, mold_class: int) -> list[OverlappingPattern]:
-        return [p for p in self.overlapping if p.produced_class == mold_class]
 
 
 def contains(p: PackingPattern, q: PackingPattern) -> bool:

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import tempfile
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beamforge.cli import dispatch, render_gantt
+from beamforge.cli import build_parser, dispatch, render_gantt
 from beamforge.evaluation import Chromosome, decode_schedule
+from beamforge.ga import GaParams
 from beamforge.instance import generate_instance, serialize_instance
 
 from conftest import CWP000_DOC, cwp000_optimal_genes, find_packing
@@ -157,6 +159,19 @@ class TestExitCodes:
         assert dispatch(["solve", "--instance", instance_file, "--ng-mult", "1", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("beamforge: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "trials", ["", "4,4", "4,x", "x", "4,", "0"],
+        ids=["empty", "repeated", "non-integer", "word", "trailing-comma", "out-of-range"],
+    )
+    def test_bad_trial_list_is_validation_error(self, mini_dir, tmp_path, capsys, trials):
+        out = tmp_path / "res.csv"
+        argv = ["bench", "--instances", mini_dir, "--reps", "1", "--seed", "2",
+                "--out", str(out), "--trials", trials, "--no-timing"]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("beamforge: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_flag_rejected(self, instance_file, capsys):
         code = dispatch(["bound", "--instance", instance_file, "--nope"])
@@ -401,6 +416,13 @@ class TestSolve:
         trace_lines = open(trace).read().splitlines()
         assert trace_lines[0] == "generation,best_fitness,mean_fitness"
         assert len(trace_lines) == 1 + 30 * 6
+
+    def test_defaults_are_the_tuned_configuration(self):
+        scaled = inspect.signature(GaParams.scaled).parameters
+        tuned = {name: p.default for name, p in scaled.items() if p.default is not p.empty}
+        assert set(tuned) == {"seed", "tp", "ng_mult", "mut", "rst", "as_mult", "crs", "ter"}
+        args = build_parser().parse_args(["solve", "--instance", "plan.json"])
+        assert {name: getattr(args, name) for name in tuned} == tuned
 
     def test_byte_identical_reruns(self, instance_file, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

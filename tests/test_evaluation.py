@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from heapq import heapreplace
@@ -22,10 +23,11 @@ from beamforge.evaluation import (
     score_floor,
 )
 from beamforge.ga import crossover1, random_solution, repair
-from beamforge.instance import generate_instance
+from beamforge.instance import generate_instance, parse_instance
 from beamforge.patterns import PackingPattern, generate_patterns
 
 from conftest import (
+    CWP000_DOC,
     beam_type,
     cwp000_optimal_genes,
     find_cutting,
@@ -377,7 +379,7 @@ class TestTally:
         for _ in range(400):
             pid = rng.choice(ids)
             delta = rng.randint(-freqs[pid], 6)
-            tally.add(pats.by_id(pid), delta)
+            tally.add(pid, delta)
             freqs[pid] += delta
             report = tally.report()
             assert (tally.short(), tally.over(), tally.unbalanced()) == (
@@ -416,17 +418,51 @@ class TestTally:
                     )
 
                 before = holding()
-                room = tally.room(p)
-                tally.add(p, room)
+                room = tally.room(p.id)
+                tally.add(p.id, room)
                 assert holding() == before
-                tally.add(p, 1)
+                tally.add(p.id, 1)
                 if before == (classes, kinds):
                     assert holding() != before
                 else:
                     assert room == 0
-                tally.add(p, -room - 1)
+                tally.add(p.id, -room - 1)
                 filled += room > 0
         assert filled > 100
+
+
+    def test_one_pattern_set_serves_two_instances(self, cwp000, cwp000_patterns):
+        # The same molds, bars and beam lengths, so the same patterns, but
+        # demands [2, 3] for [5, 10] and one new bar for 30.
+        beam = dict(CWP000_DOC["beam_types"][0], demands=[2, 3])
+        doc = dict(CWP000_DOC, beam_types=[beam], stock=[1, 16, 28, 25, 29])
+        other, pats = parse_instance(json.dumps(doc)), cwp000_patterns
+        genes = cwp000_optimal_genes(pats)  # draws three new bars
+        double = find_cutting(pats, 1, (2, 0), (0, 0, 0, 0)).id
+        for _ in range(2):  # the second pass reads the kept layouts
+            # Four (2, 1) casts: 8 short and 4 long beams, 4 short-mold bars.
+            ours, theirs = Tally(cwp000, pats, genes[:1]), Tally(other, pats, genes[:1])
+            assert (ours.short(), theirs.short()) == (True, False)
+            assert ours.report().demand_shortfall == {(1, 2): 6}
+            assert theirs.report().demand_shortfall == {}
+            assert (ours.room(double), theirs.room(double)) == (2, 1)
+            ours, theirs = Tally(cwp000, pats, genes), Tally(other, pats, genes)
+            assert (ours.over(), theirs.over()) == (False, True)
+            assert (ours.report().feasible, theirs.report().stock_excess) == (True, {1: 2})
+        other.stock = list(cwp000.stock)
+        assert not Tally(other, pats, genes).over()
+
+    def test_demanded_length_no_pattern_packs_stays_short(self):
+        # 13 m fits neither mold: no pattern packs it, whatever the genes.
+        inst = make_instance(
+            beam_types=[beam_type([330, 1300], [2, 1])], mold_lengths=[595, 1195], horizon=3
+        )
+        pats = generate_patterns(inst)
+        assert all(p.counts[1] == 0 for p in pats.packing)
+        tally = Tally(inst, pats, [(p.id, 5) for p in pats.packing])
+        assert tally.short()
+        assert tally.report().demand_shortfall == {(1, 2): 1}
+        assert random_solution(inst, pats, random.Random(0)) is None
 
 
 class TestOracle:

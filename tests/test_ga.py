@@ -229,12 +229,12 @@ def pop_and_skip_solution(inst, pats, rng):
         if freq == 0:
             continue
         genes.append((pattern.id, freq))
-        tally.add(pattern, freq)
+        tally.add(pattern.id, freq)
         for key, count in lengths.items():
             deficits[key] = max(0, deficits[key] - count * freq)
             if not deficits[key]:
                 short.discard(key)
-    return ga._supply_bars(genes, tally, pats, rng)
+    return ga._supply_bars(genes, tally, rng)
 
 
 class TestCrossoverArithmetic:
@@ -321,7 +321,7 @@ class TestRepair:
         splice = next(p for p in cwp000_patterns.overlapping if p.stock_use == ((5, 2),))
         genes = [(splice.id, 15)]
         tally = Tally(cwp000, cwp000_patterns, genes)
-        ga._fix_stock(genes, tally, cwp000, cwp000_patterns)
+        ga._fix_stock(genes, tally)
         assert genes == [(splice.id, 14)]
         assert tally.used[5] == 28 <= cwp000.stock[4]
 
