@@ -111,8 +111,8 @@ class PatternSet:
             p.id: {(p.beam_type, k): n for k, n in enumerate(p.counts, start=1) if n}
             for p in self.packing
         }
-        # Tables other modules build per instance over these patterns, keyed
-        # by id(instance) (evaluation.tally_layout).
+        # The tally layout of each instance these patterns serve, keyed by
+        # id(instance) (evaluation.tally_layout).
         self.layouts = {}
 
     # Construction's draw index, built on first use: bitmasks over the packing
