@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import itertools
-from operator import gt, lt
+from operator import gt, lt, mul, sub
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bound import candidate_ratios
 from .errors import (
     BudgetExceededError,
     HorizonError,
     InfeasibleChromosomeError,
     UnknownPatternError,
+    UnproducibleClassError,
 )
 from .instance import Instance
 from .patterns import PatternSet
@@ -481,131 +483,80 @@ def evaluate(ch: Chromosome, inst: Instance, pats: PatternSet) -> tuple[float, S
 # -- exhaustive oracle ------------------------------------------------------
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
+def _min_makespan_order(genes: list[Gene], inst: Instance, pats: PatternSet, tick):
+    """The least decoded makespan of the packing genes and the order that
+    gives it, or None if no order fits the horizon.
 
-    def tick(self):
-        self.used += 1
-        if self.used > self.limit:
-            raise BudgetExceededError(f"search exceeded {self.limit} nodes")
-
-
-def _min_makespan_order(
-    class_genes: dict[int, list[Gene]],
-    inst: Instance,
-    pats: PatternSet,
-    budget: _Budget,
-) -> tuple[int, list[Gene]] | None:
-    """Cheapest gene ordering under the decoder, or None if nothing fits.
-
-    Classes are independent under the decoder, so each class is ordered
-    separately by trying every permutation of its genes.
+    Classes are independent under the decoder, so the genes of each class
+    are ordered separately: the first permutation with the least makespan,
+    which is the first to reach `makespan_floor` when one does (no order
+    decodes below it).
     """
     ordered: list[Gene] = []
     worst = 0
-    for g, genes in sorted(class_genes.items()):
-        if not genes:
+    for g in range(inst.num_mold_classes):
+        class_genes = [gene for gene in genes if pats.casts[gene[0]][0] == g]
+        if not class_genes:
             continue
-        best_ms: int | None = None
-        best_perm: tuple[Gene, ...] | None = None
-        for perm in itertools.permutations(genes):
-            budget.tick()
-            table = MoldLevels(inst.molds_in_class(g), inst.horizon)
-            if not all(
-                place(table, pats.by_id(pid).duration, freq, inst.horizon) == freq
-                for pid, freq in perm
-            ):
+        floor = makespan_floor(Chromosome(class_genes), inst, pats)
+        best = None
+        for perm in itertools.permutations(class_genes):
+            tick()
+            try:
+                makespan = plan_makespan(Chromosome(list(perm)), inst, pats)
+            except HorizonError:
                 continue
-            ms = table.high
-            if best_ms is None or ms < best_ms:
-                best_ms, best_perm = ms, perm
-        if best_ms is None:
+            if best is None or makespan < best[0]:
+                best = (makespan, perm)
+                if makespan == floor:
+                    break
+        if best is None:
             return None
-        ordered.extend(best_perm)
-        worst = max(worst, best_ms)
+        ordered.extend(best[1])
+        worst = max(worst, best[0])
     return worst, ordered
 
 
-def _weighted_min_ratio(inst: Instance, pats: PatternSet) -> dict[int, float]:
-    """Cheapest weighted waste per produced bar (m), per class (0 when unproducible).
-
-    Each producer's share is `Producer.weighted_waste_per_bar`, the rule the
-    analytic bound reads too, so the per-class floor stays admissible for
-    cuts producing several classes at once.
-    """
-    ratios: dict[int, float] = {}
-    for g in range(1, inst.num_mold_classes + 1):
-        per_bar = [
-            p.weighted_waste_per_bar(inst.weights) for p in pats.producers if p.item_counts[g - 1]
-        ]
-        ratios[g] = float(min(per_bar) / 100) if per_bar else 0.0
-    return ratios
-
-
 def _min_waste_plan(
-    targets: tuple[int, ...],
-    inst: Instance,
-    pats: PatternSet,
-    max_freq: int,
-    max_genes: int,
-    budget: _Budget,
-    cache: dict,
-    ratios: dict[int, float],
+    tally: Tally, pats: PatternSet, max_freq: int, max_genes: int, tick, cache: dict, ratios: list
 ) -> tuple[float, tuple[Gene, ...]] | None:
-    """Cheapest cutting/overlap gene set producing exactly the target bars.
-
-    Returns (weighted waste, genes) or None when the targets cannot be met
-    within stock and the gene budget.
-    """
-    key = (targets, max_genes)
+    """The cheapest cut and splice genes, as (weighted waste, genes), that
+    make exactly the bars `tally` requires within stock and `max_genes`, or
+    None.  Each use is added to `tally` and taken back."""
+    layout, counts = tally.layout, tally.counts
+    required, made, used = layout.required, layout.made, layout.used
+    key = (tuple(counts[required:made]), max_genes)
     if key in cache:
         return cache[key]
-    producers = pats.producers
+    producers, weights = pats.producers, layout.inst.weights
+    genes: list[Gene] = []
     best: tuple[float, tuple[Gene, ...]] | None = None
 
-    def remaining_bound(deficit: tuple[int, ...]) -> float:
-        return sum(d * ratios[g + 1] for g, d in enumerate(deficit) if d > 0)
-
-    def rec(idx: int, produced: list[int], usage: dict[int, int], waste: float, genes: list[Gene]):
+    def rec(idx: int, waste: float):
         nonlocal best
-        budget.tick()
-        deficit = tuple(t - p for t, p in zip(targets, produced))
-        if all(d == 0 for d in deficit):
+        tick()
+        if not tally.unbalanced():
             if best is None or waste < best[0]:
                 best = (waste, tuple(genes))
             return
         if idx == len(producers) or len(genes) >= max_genes:
             return
-        if best is not None and waste + remaining_bound(deficit) >= best[0]:
-            return
-        pattern = producers[idx]
-        production = pattern.item_counts
-        weight = inst.weights[pattern.bucket]
-        limit = max_freq
-        for g, count in enumerate(production):
-            if count > 0:
-                limit = min(limit, deficit[g] // count)
-        for w, need in pattern.stock_use:
-            available = inst.stock[w - 1] - usage.get(w, 0)
-            limit = min(limit, available // need)
+        if best is not None:
+            deficit = map(sub, counts[required:made], counts[made:used])
+            if waste + sum(map(mul, deficit, ratios)) >= best[0]:
+                return
+        p = producers[idx]
+        cost = weights[p.bucket] * p.waste / 100.0
         # Frequencies high-to-low so complete plans appear early.
-        for freq in range(limit, 0, -1):
-            for g, count in enumerate(production):
-                produced[g] += count * freq
-            for w, need in pattern.stock_use:
-                usage[w] = usage.get(w, 0) + need * freq
-            genes.append((pattern.id, freq))
-            rec(idx + 1, produced, usage, waste + weight * pattern.waste / 100.0 * freq, genes)
+        for freq in range(min(max_freq, tally.room(p.id)), 0, -1):
+            tally.add(p.id, freq)
+            genes.append((p.id, freq))
+            rec(idx + 1, waste + cost * freq)
             genes.pop()
-            for g, count in enumerate(production):
-                produced[g] -= count * freq
-            for w, need in pattern.stock_use:
-                usage[w] -= need * freq
-        rec(idx + 1, produced, usage, waste, genes)
+            tally.add(p.id, -freq)
+        rec(idx + 1, waste)
 
-    rec(0, [0] * inst.num_mold_classes, {}, 0.0, [])
+    rec(0, 0.0)
     cache[key] = best
     return best
 
@@ -619,78 +570,66 @@ def exhaustive_optimum(
 ) -> tuple[Chromosome, float] | None:
     """Exact minimum objective over all feasible chromosomes within the caps.
 
-    Pure enumeration with pruning; independent of the genetic solver.  Returns
-    None when no feasible chromosome exists within the caps.
+    Pure enumeration with pruning, independent of the genetic solver but on
+    its evaluation core: one `Tally`, the decoder, `makespan_floor` and the
+    bound's least waste ratios.  Returns the plan with its `evaluate` value,
+    or None when no feasible chromosome exists within the caps.
     """
-    counter = _Budget(budget)
-    packing = pats.packing
-    demands = [(c, k, d) for (c, k), d in inst.demand.items() if d > 0]
-    ratios = _weighted_min_ratio(inst, pats)
-    l1 = inst.weights[0]
+    nodes = itertools.count(1)
+
+    def tick():
+        if next(nodes) > budget:
+            raise BudgetExceededError(f"search exceeded {budget} nodes")
+
+    tally = Tally(inst, pats)
+    layout, counts = tally.layout, tally.counts
+    ratios = []  # least weighted waste per bar made (m), per class
+    for g in range(1, inst.num_mold_classes + 1):
+        try:
+            ratios.append(float(min(candidate_ratios(inst, pats, g)) / 100))
+        except UnproducibleClassError:
+            ratios.append(0.0)
+    packing, l1 = pats.packing, inst.weights[0]
+    capacity = [len(molds) * inst.horizon for molds in inst.class_molds]
+    load = [0] * inst.num_mold_classes
+    genes: list[Gene] = []
     cache: dict = {}
     best_value: float | None = None
     best_genes: list[Gene] | None = None
 
-    def makespan_floor(uses: dict[int, int]) -> int:
-        worst = 0
-        for g, load in uses.items():
-            if load:
-                molds = len(inst.molds_in_class(g))
-                worst = max(worst, -((-load) // molds))
-        return worst
-
-    def rec(idx: int, produced: dict, class_load: dict, class_genes: dict, bars: dict, n_genes: int):
+    def rec(idx: int):
         nonlocal best_value, best_genes
-        counter.tick()
-        waste_floor = sum(bars[g] * ratios[g] for g in bars)
-        if best_value is not None and l1 * makespan_floor(class_load) + waste_floor >= best_value:
+        tick()
+        waste_floor = sum(map(mul, counts[layout.required : layout.made], ratios))
+        if best_value is not None and (
+            l1 * makespan_floor(Chromosome(genes), inst, pats) + waste_floor >= best_value
+        ):
             return
-        covered = all(produced.get((c, k), 0) >= d for c, k, d in demands)
-        if covered:
-            order = _min_makespan_order(class_genes, inst, pats, counter)
-            if order is not None:
-                makespan, packing_genes = order
-                lower = l1 * makespan + waste_floor
-                if best_value is None or lower < best_value:
-                    plan = _min_waste_plan(
-                        tuple(bars[g] for g in sorted(bars)),
-                        inst,
-                        pats,
-                        max_freq,
-                        max_genes - len(packing_genes),
-                        counter,
-                        cache,
-                        ratios,
-                    )
-                    if plan is not None:
-                        value = l1 * makespan + plan[0]
-                        if best_value is None or value < best_value:
-                            best_value = value
-                            best_genes = list(packing_genes) + list(plan[1])
-        if idx == len(packing) or n_genes >= max_genes:
+        order = None if tally.short() else _min_makespan_order(genes, inst, pats, tick)
+        if order is not None and (best_value is None or l1 * order[0] + waste_floor < best_value):
+            makespan, packing_genes = order
+            plan = _min_waste_plan(
+                tally, pats, max_freq, max_genes - len(genes), tick, cache, ratios
+            )
+            if plan is not None and (best_value is None or l1 * makespan + plan[0] < best_value):
+                best_value = l1 * makespan + plan[0]
+                best_genes = packing_genes + list(plan[1])
+        if idx == len(packing) or len(genes) >= max_genes:
             return
-        pattern = packing[idx]
-        g = pattern.mold_class
-        capacity = len(inst.molds_in_class(g)) * inst.horizon
-        limit = min(max_freq, (capacity - class_load[g]) // pattern.duration)
-        for freq in range(1, limit + 1):
-            for k, count in enumerate(pattern.counts, start=1):
-                key = (pattern.beam_type, k)
-                produced[key] = produced.get(key, 0) + count * freq
-            class_load[g] += pattern.duration * freq
-            class_genes[g].append((pattern.id, freq))
-            bars[g] += pattern.bars * freq
-            rec(idx + 1, produced, class_load, class_genes, bars, n_genes + 1)
-            bars[g] -= pattern.bars * freq
-            class_genes[g].pop()
-            class_load[g] -= pattern.duration * freq
-            for k, count in enumerate(pattern.counts, start=1):
-                key = (pattern.beam_type, k)
-                produced[key] -= count * freq
-        rec(idx + 1, produced, class_load, class_genes, bars, n_genes)
+        p = packing[idx]
+        g = p.mold_class - 1
+        for freq in range(1, min(max_freq, (capacity[g] - load[g]) // p.duration) + 1):
+            tally.add(p.id, freq)
+            load[g] += p.duration * freq
+            genes.append((p.id, freq))
+            rec(idx + 1)
+            genes.pop()
+            load[g] -= p.duration * freq
+            tally.add(p.id, -freq)
+        rec(idx + 1)
 
-    classes = range(1, inst.num_mold_classes + 1)
-    rec(0, {}, {g: 0 for g in classes}, {g: [] for g in classes}, {g: 0 for g in classes}, 0)
+    rec(0)
     if best_genes is None:
         return None
-    return Chromosome(best_genes), best_value
+    plan = Chromosome(best_genes)
+    return plan, evaluate(plan, inst, pats)[0]

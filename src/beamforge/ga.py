@@ -331,23 +331,22 @@ def repair(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chromosome | Non
 # -- variation operators ------------------------------------------------------
 
 
-def _merged_gene_order(a: Chromosome, b: Chromosome) -> list[int]:
-    order = [pid for pid, _ in a.genes]
-    seen = set(order)
-    for pid, _ in b.genes:
-        if pid not in seen:
-            order.append(pid)
-            seen.add(pid)
-    return order
+def _gene_union(a: Chromosome, b: Chromosome):
+    """(pattern id, frequency in a, frequency in b) over the genes of either
+    parent, 0 where a parent lacks the gene: a's genes in order, then b's
+    new ones in order."""
+    fb = dict(b.genes)
+    for pid, fa in a.genes:
+        yield pid, fa, fb.pop(pid, 0)
+    for pid, freq in fb.items():
+        yield pid, 0, freq
 
 
 def mean_union_genes(a: Chromosome, b: Chromosome, mut: float, rng: random.Random) -> list[Gene]:
     """Gene union with rounded-up mean frequencies and per-gene zeroing."""
-    fa = dict(a.genes)
-    fb = dict(b.genes)
     genes = []
-    for pid in _merged_gene_order(a, b):
-        freq = -(-(fa.get(pid, 0) + fb.get(pid, 0)) // 2)
+    for pid, fa, fb in _gene_union(a, b):
+        freq = -(-(fa + fb) // 2)
         if mut > 0 and rng.random() < mut:
             freq = 0
         if freq > 0:
@@ -357,14 +356,12 @@ def mean_union_genes(a: Chromosome, b: Chromosome, mut: float, rng: random.Rando
 
 def coin_union_genes(a: Chromosome, b: Chromosome, rng: random.Random) -> list[Gene]:
     """Shared genes get the rounded-up mean; single-parent genes flip a coin."""
-    fa = dict(a.genes)
-    fb = dict(b.genes)
     genes = []
-    for pid in _merged_gene_order(a, b):
-        if pid in fa and pid in fb:
-            freq = -(-(fa[pid] + fb[pid]) // 2)
+    for pid, fa, fb in _gene_union(a, b):
+        if fa and fb:
+            freq = -(-(fa + fb) // 2)
         else:
-            freq = (fa.get(pid) or fb.get(pid)) if rng.random() < 0.5 else 0
+            freq = (fa or fb) if rng.random() < 0.5 else 0
         if freq > 0:
             genes.append((pid, freq))
     return genes

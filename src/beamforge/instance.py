@@ -317,6 +317,9 @@ def load_instance(path: str) -> Instance:
 
 def generate_instance(seed: int, num_beam_types: int, num_molds: int) -> Instance:
     """Generate a benchmark instance; a pure function of (seed, C, M)."""
+    for name, count in (("beam type", num_beam_types), ("mold", num_molds)):
+        if count < 1:
+            raise ValueError(f"{name} count must be at least 1, got {count}")
     rng = random.Random(seed)
     beam_types = []
     for c in range(1, num_beam_types + 1):

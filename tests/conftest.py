@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from beamforge.evaluation import evaluate
+from beamforge.ilp import build_model, check_assignment, induced_assignment
 from beamforge.instance import BeamType, Instance, parse_instance
 from beamforge.patterns import generate_patterns
 
@@ -116,3 +118,16 @@ def cwp000_optimal_genes(pats):
         (find_cutting(pats, 1, (2, 0), (0, 0, 0, 0)).id, 1),
         (find_cutting(pats, 1, (0, 1), (0, 0, 0, 0)).id, 2),
     ]
+
+
+def check_oracle_result(inst, pats, result):
+    """Check the oracle's (plan, value) by rules its search does not use:
+    the value is the plan's `evaluate` value, and the plan's induced
+    assignment breaks no row of the time-indexed ILP model.  Returns the
+    plan's schedule."""
+    ch, value = result
+    expected, schedule = evaluate(ch, inst, pats)
+    assert value == expected
+    model = build_model(inst, pats)
+    assert check_assignment(model, induced_assignment(model, ch)) == []
+    return schedule

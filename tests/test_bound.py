@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from beamforge.bound import candidate_ratios, lower_bound
 from beamforge.errors import InfeasibleInstanceError, UnproducibleClassError
-from beamforge.evaluation import _weighted_min_ratio, decode_schedule, exhaustive_optimum
+from beamforge.evaluation import decode_schedule, exhaustive_optimum
 from beamforge.patterns import generate_patterns, require_castable
 
-from conftest import beam_type, make_instance
+from conftest import beam_type, check_oracle_result, make_instance
 
 
 def ratio_oracle(pats, mold_class):
@@ -153,8 +153,8 @@ class TestWeightedBound:
         assert b.total_cm == 110 == decode_schedule(ch, inst, pats).objective_cm
 
     def test_oracle_floor_is_the_bound_ratio(self, cwp000, cwp000_patterns):
-        # The oracle's pruning floor (m per bar) and the bound's least ratio
-        # (cm per bar) come from one per-producer rule.
+        # The oracle prunes on the bound's least ratio per class, in m per
+        # bar; it is the least per-producer share.
         inst = make_instance(
             beam_types=list(cwp000.beam_types),
             mold_lengths=list(cwp000.mold_lengths),
@@ -163,10 +163,10 @@ class TestWeightedBound:
             stock=list(cwp000.stock),
             weights=(0.5, 0.7, 0.25, 0.9),
         )
-        floors = _weighted_min_ratio(inst, cwp000_patterns)
+        floors = {}
         for g in (1, 2):
             ratio = min(candidate_ratios(inst, cwp000_patterns, g))
-            assert floors[g] == float(ratio / 100)
+            floors[g] = float(ratio / 100)
             assert ratio == min(
                 p.weighted_waste_per_bar(inst.weights)
                 for p in cwp000_patterns.producers
@@ -194,7 +194,7 @@ class TestWeightedBound:
         bound = lower_bound(inst, pats)
         result = exhaustive_optimum(inst, pats, max_freq=4, max_genes=4)
         assume(result is not None)
-        assert decode_schedule(result[0], inst, pats).objective_cm >= bound.total_cm
+        assert check_oracle_result(inst, pats, result).objective_cm >= bound.total_cm
 
 
 class TestStockPrecheck:

@@ -173,6 +173,20 @@ class TestExitCodes:
         assert err.startswith("beamforge: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, count, name",
+        [("--types", "0", "beam type"), ("--types", "-1", "beam type"),
+         ("--molds", "0", "mold"), ("--molds", "-1", "mold")],
+        ids=["types-zero", "types-negative", "molds-zero", "molds-negative"],
+    )
+    def test_gen_count_below_one_is_validation_error(self, capsys, flag, count, name):
+        counts = {"--types": "1", "--molds": "3", flag: count}
+        argv = ["gen", "--seed", "1", *(arg for item in counts.items() for arg in item)]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"beamforge: {name} count must be at least 1, got {count}\n"
+        assert captured.out == ""
+
     def test_unknown_flag_rejected(self, instance_file, capsys):
         code = dispatch(["bound", "--instance", instance_file, "--nope"])
         capsys.readouterr()

@@ -360,9 +360,13 @@ class TestDistinctWeights:
         assert sum(coeff * values[j] for coeff, j in model.objective) == value
 
     def test_oracle_value(self, weighted):
+        # 1.5 * 2 + 0.7 * 0.30: two periods and 30 cm of new-bar waste.
         inst, pats = weighted
-        _, value = exhaustive_optimum(inst, pats, max_freq=10, max_genes=8)
-        assert value == pytest.approx(3.21, abs=1e-12)
+        ch, value = exhaustive_optimum(inst, pats, max_freq=10, max_genes=8)
+        value_again, schedule = evaluate(ch, inst, pats)
+        assert value == value_again == 3.21
+        l1, l2, _, _ = (Fraction(w) for w in inst.weights)
+        assert schedule.objective_cm == 100 * l1 * 2 + l2 * 30
 
 
 class TestExternalSolve:
