@@ -21,8 +21,6 @@ from .errors import (
     ValidationError,
 )
 from .ga import GaParams, run
-from .harness import TrialDesign, results_csv, run_trials, trials_csv
-from .ilp import build_model, emit_lp
 from .instance import cm_to_m, generate_instance, load_instance, serialize_instance
 from .patterns import PatternSet, generate_patterns
 
@@ -121,6 +119,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_emit_lp(args) -> int:
+    from .ilp import build_model, emit_lp
+
     inst = load_instance(args.instance)
     pats = generate_patterns(inst)
     _write(emit_lp(build_model(inst, pats)), args.out)
@@ -146,16 +146,17 @@ def _cmd_solve(args) -> int:
             for starts in schedule.assignments
         ],
     }
-    _write(json.dumps(doc) + "\n", args.out)
-    if args.gantt:
-        sys.stdout.write(render_gantt(schedule, pats, inst.horizon))
+    # The trace goes first, so a trace path that cannot be written fails
+    # the run before any of the solution reaches stdout.
     if args.trace is not None:
         lines = ["generation,best_fitness,mean_fitness"]
         lines += [
             f"{s.generation},{s.best_fitness!r},{s.mean_fitness!r}" for s in result.trace
         ]
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write("\n".join(lines) + "\n", args.trace)
+    _write(json.dumps(doc) + "\n", args.out)
+    if args.gantt:
+        sys.stdout.write(render_gantt(schedule, pats, inst.horizon))
     return 0
 
 
@@ -172,6 +173,8 @@ def _trial_numbers(text: str, count: int) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
+    from .harness import TrialDesign, results_csv, run_trials, trials_csv
+
     design = TrialDesign()
     trial_numbers = None
     if args.trials is not None:

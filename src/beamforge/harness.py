@@ -7,9 +7,9 @@ the lower-bound deviation and signal-to-noise aggregates.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .bound import lower_bound
@@ -122,10 +122,6 @@ def snr(fits: list[float]) -> float:
 def _replication_seed(seed: int, trial: int, instance_index: int, rep: int) -> int:
     """The solver seed of one cell: the first 8 bytes of the SHA-256 of the
     tuple's text, so distinct cells share a seed only by a 64-bit chance."""
-    # Imported here: hashlib loads OpenSSL (about 3.6 MB resident and 3 ms),
-    # which every other command would pay through the CLI's imports.
-    import hashlib
-
     digest = hashlib.sha256(repr((seed, trial, instance_index, rep)).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -173,6 +169,8 @@ def run_trials(
         raise ValueError("need at least one instance")
     if replications < 1:
         raise ValueError(f"replications must be >= 1, not {replications}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, not {jobs}")
     if trial_numbers is None:
         trial_numbers = list(range(1, len(design.rows) + 1))
     if len(trial_numbers) != len(design.rows):
@@ -198,6 +196,8 @@ def run_trials(
                 )
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(_run_cell, payloads))
     else:

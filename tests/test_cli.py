@@ -2,6 +2,9 @@ import copy
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -187,6 +190,24 @@ class TestExitCodes:
         assert captured.err == f"beamforge: {name} count must be at least 1, got {count}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"], ids=["jobs-zero", "jobs-negative"])
+    def test_jobs_below_one_is_validation_error(self, mini_dir, tmp_path, capsys, jobs):
+        out = tmp_path / "res.csv"
+        argv = ["bench", "--instances", mini_dir, "--reps", "1", "--seed", "2",
+                "--out", str(out), "--trials", "4", "--jobs", jobs, "--no-timing"]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"beamforge: jobs must be >= 1, not {jobs}\n"
+        assert not out.exists()
+
+    def test_unwritable_trace_prints_nothing(self, instance_file, tmp_path, capsys):
+        trace = tmp_path / "missing" / "trace.csv"
+        argv = ["solve", "--instance", instance_file, "--ng-mult", "1", "--gantt",
+                "--trace", str(trace)]
+        assert dispatch(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("beamforge: ") and captured.err.count("\n") == 1
+
     def test_unknown_flag_rejected(self, instance_file, capsys):
         code = dispatch(["bound", "--instance", instance_file, "--nope"])
         capsys.readouterr()
@@ -319,6 +340,41 @@ class TestExitCodeFuzz:
             argv = ["bench", "--instances", folder, "--seed", "0", "--no-timing",
                     "--out", f"{folder}/results.csv", *_flags(flags)]
             assert dispatch(argv) in {0, 1, 2, 3}
+
+
+# Run in a fresh interpreter: the modules the CLI loads for one command.
+_COLD_START = """
+import sys
+
+def loaded(names):
+    return sorted(n for n in names if n in sys.modules)
+
+import beamforge.cli
+from beamforge.cli import dispatch
+
+unused = ["beamforge.harness", "beamforge.ilp", "concurrent.futures", "multiprocessing"]
+assert not loaded(unused), ("import", loaded(unused))
+instance, instances, folder = sys.argv[1:]
+assert dispatch(["solve", "--instance", instance, "--ng-mult", "1",
+                 "--out", folder + "/plan.json"]) == 0
+assert not loaded(unused), ("solve", loaded(unused))
+assert dispatch(["bench", "--instances", instances, "--reps", "1", "--seed", "2",
+                 "--trials", "4", "--jobs", "1", "--no-timing",
+                 "--out", folder + "/res.csv"]) == 0
+pool = ["concurrent.futures.process", "multiprocessing"]
+assert not loaded(pool), ("bench", loaded(pool))
+"""
+
+
+class TestColdStart:
+    def test_commands_load_only_what_they_run(self, instance_file, mini_dir, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_START, instance_file, mini_dir, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBound:
