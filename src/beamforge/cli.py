@@ -8,6 +8,7 @@ boundary is in decimal meters.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import json
 import os
@@ -33,6 +34,25 @@ _TUNED = {
     for name, param in inspect.signature(GaParams.scaled).parameters.items()
     if param.default is not param.empty
 }
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Raise the OSError that writing would raise, for every path given, so
+    that a run fails before any work and with nothing written: its folder is
+    missing or read-only, or the path is a folder or a read-only file."""
+    for path in paths:
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(folder):
+            code = errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -131,6 +151,7 @@ def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     pats = generate_patterns(inst)
     params = GaParams.scaled(pats.num_packing, **{name: getattr(args, name) for name in _TUNED})
+    _check_writable(args.trace, args.out)
     result = run(inst, pats, params)
     schedule = result.schedule
     doc = {
@@ -146,8 +167,6 @@ def _cmd_solve(args) -> int:
             for starts in schedule.assignments
         ],
     }
-    # The trace goes first, so a trace path that cannot be written fails
-    # the run before any of the solution reaches stdout.
     if args.trace is not None:
         lines = ["generation,best_fitness,mean_fitness"]
         lines += [
@@ -187,6 +206,12 @@ def _cmd_bench(args) -> int:
         (name[: -len(".json")], load_instance(os.path.join(args.instances, name)))
         for name in names
     ]
+    aggregate = None
+    if args.out is not None:
+        aggregate = os.path.join(os.path.dirname(args.out) or ".", "trials.csv")
+        if os.path.realpath(args.out) == os.path.realpath(aggregate):
+            raise ValueError(f"--out {args.out} is where the per-trial aggregate goes")
+        _check_writable(args.out, aggregate)
     results = run_trials(
         design, instances, args.reps, args.seed, jobs=args.jobs, trial_numbers=trial_numbers
     )
@@ -196,7 +221,6 @@ def _cmd_bench(args) -> int:
         sys.stdout.write(trials_csv(results, include_time))
     else:
         _write(results_csv(results, include_time), args.out)
-        aggregate = os.path.join(os.path.dirname(args.out) or ".", "trials.csv")
         _write(trials_csv(results, include_time), aggregate)
     return 0
 

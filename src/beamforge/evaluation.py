@@ -139,107 +139,25 @@ def waste_cm(uses, pats: PatternSet) -> tuple[int, int, int]:
     return totals[1], totals[2], totals[3]
 
 
-class TallyLayout:
-    """Where a Tally of one (instance, pattern set) keeps each count, and
-    what every pattern changes there.
-
-    A tally is one int list over dense slots: beams made per demanded
-    (type, length) in `inst.demand` order, then bars required per class,
-    bars made per class and stock drawn per bar kind, the last three
-    sections starting at `required`, `made` and `used`.  `zero` is the empty
-    tally; `demand` and `stock` are the limits of the first and last
-    sections.
-
-    Per pattern id:
-    - `delta`: the ((slot, coefficient), ...) one use adds; a dict, so an
-      unknown id has no entry;
-    - `packs`: a packing pattern's {beam slot: count}, {} for a producer;
-    - `bar_room` and `stock_room`: a producer's (required slot, made slot,
-      bars per use) and (stock, used slot, need per use) terms of
-      `Tally.room`.
-    The lists are indexed by id, entry 0 unused.  Per class and per bar kind
-    (0-based), `makers` and `drawers` give {id: bars or need per use} of the
-    producers that make that class alone and of those that draw that kind;
-    ids from `first_splice` on are splices.  For construction, `cover` is
-    per beam slot the mask of the packing patterns that pack it
-    (`PatternSet.cover`), and `pools` per class the ids of the cuts and of
-    the splices that make it.
-    """
-
-    def __init__(self, inst: Instance, pats: PatternSet):
-        self.inst = inst
-        self.keys = keys = list(inst.demand)
-        self.demand = list(inst.demand.values())
-        self.stock = inst.stock[:]  # a copy of the same type, to tell a change
-        classes = inst.num_mold_classes
-        self.required = len(keys)
-        self.made = self.required + classes
-        self.used = self.made + classes
-        self.zero = [0] * (self.used + len(self.stock))
-        size = pats.total + 1
-        self.delta = {}
-        self.packs = [{}] * size
-        self.bar_room = [()] * size
-        self.stock_room = [()] * size
-        self.makers = [{} for _ in range(classes)]
-        self.drawers = [{} for _ in self.stock]
-        self.first_splice = pats.num_packing + pats.num_cutting + 1
-        self.pools = [([], []) for _ in range(classes)]
-        slot = {key: s for s, key in enumerate(keys)}
-        for p in pats.packing:
-            packs = {slot[key]: n for key, n in pats.packed_lengths[p.id].items()}
-            self.packs[p.id] = packs
-            self.delta[p.id] = (*packs.items(), (self.required + p.mold_class - 1, p.bars))
-        for p in pats.producers:
-            made = [(g, n) for g, n in enumerate(p.item_counts) if n]  # 0-based classes
-            used = [(w - 1, need) for w, need in p.stock_use]  # 0-based kinds
-            self.delta[p.id] = (
-                *((self.used + w, need) for w, need in used),
-                *((self.made + g, n) for g, n in made),
-            )
-            self.bar_room[p.id] = tuple((self.required + g, self.made + g, n) for g, n in made)
-            self.stock_room[p.id] = tuple((self.stock[w], self.used + w, need) for w, need in used)
-            if len(made) == 1:
-                g, n = made[0]
-                self.makers[g][p.id] = n
-            for w, need in used:
-                self.drawers[w][p.id] = need
-            for g, _ in made:
-                self.pools[g][0 if p.id < self.first_splice else 1].append(p.id)
-        self.cover = [pats.cover.get(key, 0) for key in keys]
-
-
-def tally_layout(inst: Instance, pats: PatternSet) -> TallyLayout:
-    """The layout of (inst, pats), built on first use and kept in
-    `pats.layouts`, and built again when the instance's stock changed
-    (`inst.demand` is fixed when the instance is made)."""
-    layout = pats.layouts.get(id(inst))
-    # The entry keeps its instance alive, so no other instance has its id
-    # while it lives; a PatternSet copied from another process may hold
-    # entries of instances that are gone.
-    if layout is None or layout.inst is not inst or layout.stock != inst.stock:
-        layout = pats.layouts[id(inst)] = TallyLayout(inst, pats)
-    return layout
-
-
 class Tally:
     """Demand, stock and bar-balance totals of a gene list, kept current.
 
-    `counts` is one int list over the slots of a `TallyLayout`, started as a
-    copy of its `zero`.  `add` applies one change of a pattern's frequency
-    through the layout's `delta`, so a caller that edits genes through it
-    never has to rescan them; `short`, `over` and `unbalanced` test the
-    three feasibility conditions, and `report` details them.  `beams` (per
-    (type, length index)), `required`, `made` (per class) and `used` (per
-    bar kind, 1-based) are dict copies of the counts, for reading.
+    `counts` is one int list over the slots of a `PatternSet`, started as a
+    copy of its `zero`; `demand` and `stock`, the limits of the beam and
+    stock slots, are the instance's, so one pattern set serves any instance
+    of its shape.  `add` applies one change of a pattern's frequency through
+    the pattern set's `delta`, so a caller that edits genes through it never
+    has to rescan them; `short`, `over` and `unbalanced` test the three
+    feasibility conditions, and `report` details them.
     """
 
-    __slots__ = ("layout", "counts")
+    __slots__ = ("pats", "demand", "stock", "counts")
 
     def __init__(self, inst: Instance, pats: PatternSet, genes=()):
-        self.layout = layout = tally_layout(inst, pats)
-        self.counts = counts = layout.zero[:]
-        delta = layout.delta
+        self.pats = pats
+        self.demand, self.stock = inst.demand, inst.stock
+        self.counts = counts = pats.zero[:]
+        delta = pats.delta
         try:
             for pid, freq in genes:
                 for slot, coefficient in delta[pid]:
@@ -250,63 +168,44 @@ class Tally:
     def add(self, pid: int, freq: int) -> None:
         """Count `freq` more uses of a pattern; a negative `freq` removes uses."""
         counts = self.counts
-        for slot, coefficient in self.layout.delta[pid]:
+        for slot, coefficient in self.pats.delta[pid]:
             counts[slot] += coefficient * freq
 
     def short(self) -> bool:
         """Some demanded length has fewer beams than its demand (type 1)."""
-        return any(map(lt, self.counts, self.layout.demand))
+        return any(map(lt, self.counts, self.demand))
 
     def over(self) -> bool:
         """Some bar kind is drawn beyond its stock (type 2)."""
-        layout = self.layout
-        return any(map(gt, self.counts[layout.used :], layout.stock))
+        return any(map(gt, self.counts[self.pats.used_at :], self.stock))
 
     def unbalanced(self) -> bool:
         """Some class has made bars other than its required bars (type 3)."""
-        layout, counts = self.layout, self.counts
-        return counts[layout.required : layout.made] != counts[layout.made : layout.used]
+        pats, counts = self.pats, self.counts
+        return counts[pats.required_at : pats.made_at] != counts[pats.made_at : pats.used_at]
 
     def room(self, pid: int) -> int:
         """Most uses of a cut or splice that overshoot no class's required
         bars and no stock kind (0 when one is already over)."""
-        layout, counts = self.layout, self.counts
-        limits = [(counts[r] - counts[m]) // n for r, m, n in layout.bar_room[pid]]
-        limits += [(stock - counts[u]) // n for stock, u, n in layout.stock_room[pid]]
+        pats, counts, stock = self.pats, self.counts, self.stock
+        limits = [(counts[r] - counts[m]) // n for r, m, n in pats.bar_room[pid]]
+        limits += [(stock[w] - counts[u]) // n for w, u, n in pats.stock_room[pid]]
         return max(0, min(limits))
 
-    def _section(self, start: int, stop: int) -> dict[int, int]:
-        return dict(enumerate(self.counts[start:stop], start=1))
-
-    @property
-    def beams(self) -> dict[tuple[int, int], int]:
-        return dict(zip(self.layout.keys, self.counts))
-
-    @property
-    def required(self) -> dict[int, int]:
-        return self._section(self.layout.required, self.layout.made)
-
-    @property
-    def made(self) -> dict[int, int]:
-        return self._section(self.layout.made, self.layout.used)
-
-    @property
-    def used(self) -> dict[int, int]:
-        return self._section(self.layout.used, len(self.counts))
-
     def report(self) -> InfeasibilityReport:
-        layout, counts = self.layout, self.counts
+        pats, counts = self.pats, self.counts
         report = InfeasibilityReport()
-        for key, made, demand in zip(layout.keys, counts, layout.demand):
+        for key, made, demand in zip(pats.keys, counts, self.demand):
             if made < demand:
                 report.demand_shortfall[key] = demand - made
-        for w, (used, stock) in enumerate(zip(counts[layout.used :], layout.stock), start=1):
+        for w, (used, stock) in enumerate(zip(counts[pats.used_at :], self.stock), start=1):
             if used > stock:
                 report.stock_excess[w] = used - stock
-        required, made = self.required, self.made
-        for g in made:
-            if made[g] != required[g]:
-                report.balance_mismatch[g] = (made[g], required[g])
+        required = counts[pats.required_at : pats.made_at]
+        made = counts[pats.made_at : pats.used_at]
+        for g, (m, r) in enumerate(zip(made, required), start=1):
+            if m != r:
+                report.balance_mismatch[g] = (m, r)
         return report
 
 
@@ -518,17 +417,17 @@ def _min_makespan_order(genes: list[Gene], inst: Instance, pats: PatternSet, tic
 
 
 def _min_waste_plan(
-    tally: Tally, pats: PatternSet, max_freq: int, max_genes: int, tick, cache: dict, ratios: list
+    tally: Tally, weights, max_freq: int, max_genes: int, tick, cache: dict, ratios: list
 ) -> tuple[float, tuple[Gene, ...]] | None:
     """The cheapest cut and splice genes, as (weighted waste, genes), that
     make exactly the bars `tally` requires within stock and `max_genes`, or
     None.  Each use is added to `tally` and taken back."""
-    layout, counts = tally.layout, tally.counts
-    required, made, used = layout.required, layout.made, layout.used
+    pats, counts = tally.pats, tally.counts
+    required, made, used = pats.required_at, pats.made_at, pats.used_at
     key = (tuple(counts[required:made]), max_genes)
     if key in cache:
         return cache[key]
-    producers, weights = pats.producers, layout.inst.weights
+    producers = pats.producers
     genes: list[Gene] = []
     best: tuple[float, tuple[Gene, ...]] | None = None
 
@@ -582,7 +481,7 @@ def exhaustive_optimum(
             raise BudgetExceededError(f"search exceeded {budget} nodes")
 
     tally = Tally(inst, pats)
-    layout, counts = tally.layout, tally.counts
+    counts = tally.counts
     ratios = []  # least weighted waste per bar made (m), per class
     for g in range(1, inst.num_mold_classes + 1):
         try:
@@ -600,7 +499,7 @@ def exhaustive_optimum(
     def rec(idx: int):
         nonlocal best_value, best_genes
         tick()
-        waste_floor = sum(map(mul, counts[layout.required : layout.made], ratios))
+        waste_floor = sum(map(mul, counts[pats.required_at : pats.made_at], ratios))
         if best_value is not None and (
             l1 * makespan_floor(Chromosome(genes), inst, pats) + waste_floor >= best_value
         ):
@@ -609,7 +508,7 @@ def exhaustive_optimum(
         if order is not None and (best_value is None or l1 * order[0] + waste_floor < best_value):
             makespan, packing_genes = order
             plan = _min_waste_plan(
-                tally, pats, max_freq, max_genes - len(genes), tick, cache, ratios
+                tally, inst.weights, max_freq, max_genes - len(genes), tick, cache, ratios
             )
             if plan is not None and (best_value is None or l1 * makespan + plan[0] < best_value):
                 best_value = l1 * makespan + plan[0]

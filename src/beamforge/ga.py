@@ -59,6 +59,8 @@ class GaParams:
             raise ValueError("restart_patience must be nonnegative")
         if self.construction_pool < 1:
             raise ValueError("construction_pool must be >= 1")
+        if self.crossover_kind not in (1, 2):
+            raise ValueError(f"crossover_kind must be 1 or 2, not {self.crossover_kind!r}")
 
     @classmethod
     def scaled(
@@ -135,8 +137,7 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
     """
     genes: list[tuple[int, int]] = []
     tally = Tally(inst, pats)
-    layout, counts = tally.layout, tally.counts
-    demand, cover, packs = layout.demand, layout.cover, layout.packs
+    counts, demand, cover, packs = tally.counts, inst.demand, pats.cover, pats.packs
     short = {s for s, d in enumerate(demand) if d > 0}  # beam slots
     tables = mold_levels(inst)
     slower = pats.slower
@@ -179,10 +180,10 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
 def _supply_bars(genes, tally, rng) -> Chromosome | None:
     """Add bar producers to packing genes: per class, random cuts and then,
     if still short, random splices, each used as often as it has room."""
-    layout, counts = tally.layout, tally.counts
+    pats, counts = tally.pats, tally.counts
     chosen: set[int] = set()
-    for g, pools in enumerate(layout.pools):
-        needed, made = layout.required + g, layout.made + g
+    for g, pools in enumerate(pats.pools):
+        needed, made = pats.required_at + g, pats.made_at + g
         for pool in pools:
             candidates = [pid for pid in pool if pid not in chosen]
             while counts[made] < counts[needed] and candidates:
@@ -204,7 +205,7 @@ def _supply_bars(genes, tally, rng) -> Chromosome | None:
 #
 # Every fixer changes a gene's frequency only through _set_frequency, so the
 # tally built once by repair stays equal to a fresh tally of the genes.  The
-# fixers read and edit the tally's slots (`TallyLayout`).
+# fixers read and edit the tally's slots (`PatternSet`).
 
 
 def _set_frequency(genes, tally, i, pid, freq):
@@ -216,8 +217,7 @@ def _trim_packing_surplus(genes, tally):
     """Lower each packing gene, in order, to the least frequency that keeps
     the demand covered given every other gene: by the whole uses that every
     length it packs has to spare."""
-    layout, counts = tally.layout, tally.counts
-    demand, packs = layout.demand, layout.packs
+    counts, demand, packs = tally.counts, tally.demand, tally.pats.packs
     for i, (pid, freq) in enumerate(genes):
         lengths = packs[pid]
         if not lengths or freq == 0:
@@ -240,8 +240,8 @@ def _fix_demand(genes, tally):
     settles every covered length.  Returns False at the first short length
     that no gene covers.
     """
-    counts, packs = tally.counts, tally.layout.packs
-    for s, demand in enumerate(tally.layout.demand):
+    counts, packs = tally.counts, tally.pats.packs
+    for s, demand in enumerate(tally.demand):
         missing = demand - counts[s]
         if missing <= 0:
             continue
@@ -266,12 +266,12 @@ def _producer_genes(genes, takes, first_splice):
 def _fix_stock(genes, tally):
     """Lower the genes that draw each overrun kind, cuts before splices, by
     the fewest whole uses that clear the excess, until the stock holds."""
-    layout, counts = tally.layout, tally.counts
-    for w, (stock, drawers) in enumerate(zip(layout.stock, layout.drawers)):
-        used = layout.used + w
+    pats, counts = tally.pats, tally.counts
+    for w, (stock, drawers) in enumerate(zip(tally.stock, pats.drawers)):
+        used = pats.used_at + w
         if counts[used] <= stock:
             continue
-        for i in _producer_genes(genes, drawers, layout.first_splice):
+        for i in _producer_genes(genes, drawers, pats.first_splice):
             excess = counts[used] - stock
             if excess <= 0:
                 break
@@ -286,12 +286,12 @@ def _fix_balance(genes, tally):
     before splices: surplus is cut in whole uses, then a deficit is filled
     with each gene's room (`Tally.room`).
     """
-    layout, counts = tally.layout, tally.counts
-    for g, makers in enumerate(layout.makers):
-        made, required = layout.made + g, counts[layout.required + g]
+    pats, counts = tally.pats, tally.counts
+    for g, makers in enumerate(pats.makers):
+        made, required = pats.made_at + g, counts[pats.required_at + g]
         if counts[made] == required:
             continue
-        candidates = _producer_genes(genes, makers, layout.first_splice)
+        candidates = _producer_genes(genes, makers, pats.first_splice)
         for i in candidates:
             over = counts[made] - required
             if over <= 0:

@@ -81,7 +81,10 @@ class ReplicationResult:
 class TrialResult:
     trial: int
     replications: list[ReplicationResult] = field(default_factory=list)
-    failures: int = 0
+
+    @property
+    def failures(self) -> int:
+        return sum(r.failed for r in self.replications)
 
     @property
     def fitnesses(self) -> list[float]:
@@ -205,10 +208,7 @@ def run_trials(
 
     results = {t: TrialResult(trial=t) for t in trial_numbers}
     for cell in cells:
-        bucket = results[cell.trial]
-        bucket.replications.append(cell)
-        if cell.failed:
-            bucket.failures += 1
+        results[cell.trial].replications.append(cell)
     return [results[t] for t in trial_numbers]
 
 

@@ -83,8 +83,10 @@ class Instance:
     distinct_mold_lengths: list[int] = field(init=False)
     mold_classes: tuple[int, ...] = field(init=False)  # 1-based class of each mold
     class_molds: tuple[tuple[int, ...], ...] = field(init=False)  # 0-based molds per class
-    # Beams demanded per (beam type, length index), both 1-based.
-    demand: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    # Every (beam type, length index), both 1-based, in order, and the beams
+    # demanded of each.
+    demand_keys: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    demand: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = tuple(float(w) for w in self.weights)
@@ -96,11 +98,12 @@ class Instance:
             tuple(m for m, g in enumerate(self.mold_classes) if g == h)
             for h in range(1, len(self.distinct_mold_lengths) + 1)
         )
-        self.demand = {
-            (c, k): d
+        self.demand_keys = tuple(
+            (c, k)
             for c, bt in enumerate(self.beam_types, start=1)
-            for k, d in enumerate(bt.demands, start=1)
-        }
+            for k in range(1, len(bt.demands) + 1)
+        )
+        self.demand = [d for bt in self.beam_types for d in bt.demands]
 
     # -- derived views ----------------------------------------------------
 

@@ -91,11 +91,39 @@ class OverlappingPattern(Producer):
 
 @dataclass
 class PatternSet:
-    """All patterns of an instance under the global id scheme."""
+    """All patterns of an instance under the global id scheme, with what one
+    use of each changes in a tally (`evaluation.Tally`).
+
+    `keys`, `classes` and `kinds` are the shape of the instance the patterns
+    serve: its (beam type, length index) keys in `Instance.demand_keys`
+    order, its mold classes and its bar kinds.  A tally is one int list over
+    dense slots: beams made per key, then bars required per class, bars made
+    per class and stock drawn per bar kind, the last three sections starting
+    at `required_at`, `made_at` and `used_at`.  `zero` is the empty tally.
+
+    Per pattern id:
+    - `delta`: the ((slot, coefficient), ...) one use adds; a dict, so an
+      unknown id has no entry;
+    - `packs`: a packing pattern's {beam slot: count} of the lengths it
+      packs, {} for a producer;
+    - `bar_room` and `stock_room`: a producer's (required slot, made slot,
+      bars per use) and (bar kind, used slot, need per use) terms of
+      `Tally.room`, bar kinds 0-based.
+    The lists are indexed by id, entry 0 unused.  Per class and per bar kind
+    (0-based), `makers` and `drawers` give {id: bars or need per use} of the
+    producers that make that class alone and of those that draw that kind;
+    ids from `first_splice` on are splices.  For construction, `cover` is
+    per beam slot the mask of the packing patterns that pack it, bit i
+    standing for packing[i], and `pools` per class the ids of the cuts and
+    of the splices that make it.
+    """
 
     packing: list[PackingPattern]
     cutting: list[CuttingPattern]
     overlapping: list[OverlappingPattern]
+    keys: tuple[tuple[int, int], ...] = ()
+    classes: int = 0
+    kinds: int = 0
 
     def __post_init__(self):
         self._by_id = {}
@@ -105,27 +133,45 @@ class PatternSet:
             self._by_id[p.id] = p
         for p in self.overlapping:
             self._by_id[p.id] = p
-        # Per packing pattern id, {(beam type, length index): count} of the
-        # lengths it packs (count > 0), both 1-based.
-        self.packed_lengths = {
-            p.id: {(p.beam_type, k): n for k, n in enumerate(p.counts, start=1) if n}
-            for p in self.packing
-        }
-        # The tally layout of each instance these patterns serve, keyed by
-        # id(instance) (evaluation.tally_layout).
-        self.layouts = {}
-
-    # Construction's draw index, built on first use: bitmasks over the packing
-    # patterns, bit i standing for packing[i].
-
-    @cached_property
-    def cover(self) -> dict[tuple[int, int], int]:
-        """Per packed (beam type, length index), the patterns that pack it."""
-        masks: dict[tuple[int, int], int] = {}
+        self.required_at = required_at = len(self.keys)
+        self.made_at = made_at = required_at + self.classes
+        self.used_at = used_at = made_at + self.classes
+        self.zero = [0] * (used_at + self.kinds)
+        size = self.total + 1
+        self.delta = {}
+        self.packs = [{}] * size
+        self.bar_room = [()] * size
+        self.stock_room = [()] * size
+        self.makers = [{} for _ in range(self.classes)]
+        self.drawers = [{} for _ in range(self.kinds)]
+        self.first_splice = self.num_packing + self.num_cutting + 1
+        self.pools = [([], []) for _ in range(self.classes)]
+        self.cover = [0] * len(self.keys)
+        slot = {key: s for s, key in enumerate(self.keys)}
         for i, p in enumerate(self.packing):
-            for key in self.packed_lengths[p.id]:
-                masks[key] = masks.get(key, 0) | 1 << i
-        return masks
+            packs = {slot[p.beam_type, k]: n for k, n in enumerate(p.counts, start=1) if n}
+            self.packs[p.id] = packs
+            self.delta[p.id] = (*packs.items(), (required_at + p.mold_class - 1, p.bars))
+            for s in packs:
+                self.cover[s] |= 1 << i
+        for p in self.producers:
+            made = [(g, n) for g, n in enumerate(p.item_counts) if n]  # 0-based classes
+            used = [(w - 1, need) for w, need in p.stock_use]  # 0-based kinds
+            self.delta[p.id] = (
+                *((used_at + w, need) for w, need in used),
+                *((made_at + g, n) for g, n in made),
+            )
+            self.bar_room[p.id] = tuple((required_at + g, made_at + g, n) for g, n in made)
+            self.stock_room[p.id] = tuple((w, used_at + w, need) for w, need in used)
+            if len(made) == 1:
+                g, n = made[0]
+                self.makers[g][p.id] = n
+            for w, need in used:
+                self.drawers[w][p.id] = need
+            for g, _ in made:
+                self.pools[g][0 if p.id < self.first_splice else 1].append(p.id)
+
+    # Construction's draw index besides `cover`, built on first use.
 
     @cached_property
     def slower(self) -> dict[tuple[int, int], int]:
@@ -259,13 +305,16 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
     length the demand needs (no cut or splice makes more bar than it uses),
     or makes fewer mold-length bars than any plan needs.  Both stock checks
     are necessary, not sufficient."""
+    start = 0  # the beam slot of the type's first length
     for c, bt in enumerate(inst.beam_types, start=1):
         if any(bt.demands) and bt.curing_time > inst.horizon:
             raise InfeasibleInstanceError(
                 f"beam type {c}: curing {bt.curing_time} exceeds the horizon {inst.horizon}"
             )
-        for k, (length, demand) in enumerate(zip(bt.lengths, bt.demands), start=1):
-            if demand and (c, k) not in pats.cover:
+        cover = pats.cover[start : start + bt.num_lengths]
+        start += bt.num_lengths
+        for length, demand, mask in zip(bt.lengths, bt.demands, cover):
+            if demand and not mask:
                 raise InfeasibleInstanceError(
                     f"beam type {c}: length {cm_to_m(length)} m fits in no mold"
                 )
@@ -299,14 +348,14 @@ def _fewest_bars(inst: Instance, pats: PatternSet) -> int:
     """The fewest mold-length bars any plan needs: per beam type, its bars
     per cast times the casts its most demanding length takes when every cast
     packs as many beams of that length as one pattern can."""
-    richest: dict[tuple[int, int], int] = {}
+    richest = [0] * len(inst.demand)  # per beam slot
     for p in pats.packing:
-        for key, n in pats.packed_lengths[p.id].items():
-            richest[key] = max(richest.get(key, 0), n)
+        for s, n in pats.packs[p.id].items():
+            richest[s] = max(richest[s], n)
     casts: dict[int, int] = {}  # per beam type
-    for (c, k), d in inst.demand.items():
+    for (c, _), d, n in zip(inst.demand_keys, inst.demand, richest):
         if d:
-            casts[c] = max(casts.get(c, 0), -(-d // richest[(c, k)]))
+            casts[c] = max(casts.get(c, 0), -(-d // n))
     return sum(inst.beam_types[c - 1].bars_per_beam * n for c, n in casts.items())
 
 
@@ -412,4 +461,11 @@ def generate_patterns(inst: Instance, maximal_only: bool = True) -> PatternSet:
     packing = enumerate_packing_patterns(inst, maximal_only=maximal_only)
     cutting = _cutting_list(inst, len(packing))
     overlapping = _overlapping_list(inst, len(packing) + len(cutting))
-    return PatternSet(packing=packing, cutting=cutting, overlapping=overlapping)
+    return PatternSet(
+        packing=packing,
+        cutting=cutting,
+        overlapping=overlapping,
+        keys=inst.demand_keys,
+        classes=inst.num_mold_classes,
+        kinds=len(inst.stock),
+    )

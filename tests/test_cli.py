@@ -208,6 +208,43 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("beamforge: ") and captured.err.count("\n") == 1
 
+    def test_unwritable_out_fails_before_the_search(
+        self, instance_file, tmp_path, capsys, monkeypatch
+    ):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("beamforge.cli.run", no_search)
+        trace = tmp_path / "trace.csv"
+        argv = ["solve", "--instance", instance_file, "--gantt", "--trace", str(trace),
+                "--out", str(tmp_path / "missing" / "plan.json")]
+        assert dispatch(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("beamforge: ") and captured.err.count("\n") == 1
+        assert "plan.json" in captured.err
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("where", ["out", "aggregate"])
+    def test_unwritable_bench_output_fails_before_any_trial(
+        self, mini_dir, tmp_path, capsys, monkeypatch, where
+    ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("beamforge.harness.run_trials", no_trials)
+        if where == "out":
+            out = tmp_path / "missing" / "res.csv"
+        else:
+            out = tmp_path / "res.csv"
+            (tmp_path / "trials.csv").mkdir()  # the aggregate's path is a folder
+        argv = ["bench", "--instances", mini_dir, "--reps", "1", "--seed", "2",
+                "--out", str(out), "--trials", "4", "--no-timing"]
+        assert dispatch(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("beamforge: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_flag_rejected(self, instance_file, capsys):
         code = dispatch(["bound", "--instance", instance_file, "--nope"])
         capsys.readouterr()
@@ -571,6 +608,26 @@ class TestBench:
         ) == 1
         assert capsys.readouterr().err == "beamforge: replications must be >= 1, not 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["trials.csv", "./sub/../trials.csv"])
+    def test_out_on_the_aggregate_is_validation_error(
+        self, mini_dir, tmp_path, capsys, monkeypatch, spelling
+    ):
+        # The aggregate goes to trials.csv beside --out, so this --out would
+        # lose the per-replication table.
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("beamforge.harness.run_trials", no_trials)
+        (tmp_path / "sub").mkdir()
+        out = os.path.join(str(tmp_path), *spelling.split("/"))
+        argv = ["bench", "--instances", mini_dir, "--reps", "1", "--seed", "2",
+                "--out", out, "--trials", "4", "--no-timing"]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("beamforge: ") and err.count("\n") == 1
+        assert "aggregate" in err
+        assert not (tmp_path / "trials.csv").exists()
 
     def test_empty_dir_is_code_two(self, tmp_path):
         empty = tmp_path / "none"

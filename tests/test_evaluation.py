@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
 from heapq import heapreplace
 
@@ -46,7 +47,8 @@ class TestDecode:
         schedule = decode_schedule(Chromosome(genes), cwp000, cwp000_patterns)
         assert mold_loads(schedule, cwp000_patterns) == [1, 1, 1, 1, 2]
         assert schedule.makespan == 2
-        assert Tally(cwp000, cwp000_patterns, genes).required == {1: 4, 2: 2}
+        pats = cwp000_patterns
+        assert Tally(cwp000, pats, genes).counts[pats.required_at : pats.made_at] == [4, 2]
 
     def test_empty_chromosome(self, cwp000, cwp000_patterns):
         schedule = decode_schedule(Chromosome([]), cwp000, cwp000_patterns)
@@ -391,11 +393,8 @@ class TestTally:
                 report.type3,
             )
         fresh = Tally(inst, pats, [(pid, f) for pid, f in freqs.items() if f > 0])
-        assert tally.beams == fresh.beams
-        assert tally.used == fresh.used
-        assert tally.made == fresh.made
-        assert tally.required == fresh.required
-        assert any(tally.beams.values()) and any(tally.used.values())
+        assert tally.counts == fresh.counts
+        assert any(tally.counts[: pats.required_at]) and any(tally.counts[pats.used_at :])
 
     @pytest.mark.parametrize("which", ["cwp000", "generated"])
     def test_room_fills_to_the_nearest_bound(self, cwp000, cwp000_patterns, which):
@@ -415,9 +414,14 @@ class TestTally:
                 kinds = [w for w, _ in p.stock_use]
 
                 def holding():
+                    counts = tally.counts
                     return (
-                        [g for g in classes if tally.made[g] <= tally.required[g]],
-                        [w for w in kinds if tally.used[w] <= inst.stock[w - 1]],
+                        [
+                            g
+                            for g in classes
+                            if counts[pats.made_at + g - 1] <= counts[pats.required_at + g - 1]
+                        ],
+                        [w for w in kinds if counts[pats.used_at + w - 1] <= inst.stock[w - 1]],
                     )
 
                 before = holding()
@@ -433,6 +437,35 @@ class TestTally:
                 filled += room > 0
         assert filled > 100
 
+
+    @pytest.mark.parametrize("which", ["cwp000", "generated"])
+    def test_a_pickled_pattern_set_tallies_and_draws_alike(self, cwp000, cwp000_patterns, which):
+        # `bench --jobs 2` ships each pattern set to its workers by pickle.
+        if which == "cwp000":
+            inst, pats = cwp000, cwp000_patterns
+        else:
+            inst = generate_instance(7, 2, 15)
+            pats = generate_patterns(inst)
+        copy = pickle.loads(pickle.dumps(pats))
+        assert copy is not pats
+        rng = random.Random(9)
+        ids = list(range(1, pats.total + 1))
+        for _ in range(60):
+            genes = [(rng.choice(ids), rng.randint(1, 6)) for _ in range(rng.randint(1, 12))]
+            ours, theirs = Tally(inst, pats, genes), Tally(inst, copy, genes)
+            assert ours.counts == theirs.counts
+            assert [ours.room(p.id) for p in pats.producers] == [
+                theirs.room(p.id) for p in pats.producers
+            ]
+
+        def draws(patterns):
+            rng = random.Random(17)
+            plans = [random_solution(inst, patterns, rng) for _ in range(300)]
+            return [None if ch is None else ch.genes for ch in plans], rng.getstate()
+
+        ours = draws(pats)
+        assert ours == draws(copy)
+        assert any(ours[0])
 
     def test_one_pattern_set_serves_two_instances(self, cwp000, cwp000_patterns):
         # The same molds, bars and beam lengths, so the same patterns, but

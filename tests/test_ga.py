@@ -205,12 +205,8 @@ def pop_and_skip_solution(inst, pats, rng):
     place them; running out of patterns rejects the plan."""
     genes = []
     tally = Tally(inst, pats)
-    deficits = {
-        (c, k): d
-        for c, bt in enumerate(inst.beam_types, start=1)
-        for k, d in enumerate(bt.demands, start=1)
-    }
-    short = {key for key, d in deficits.items() if d > 0}
+    deficits = list(inst.demand)  # per beam slot
+    short = {s for s, d in enumerate(deficits) if d > 0}
     tables = mold_levels(inst)
     blocked = [inst.horizon + 1] * len(tables)
     unpicked = list(pats.packing)
@@ -218,11 +214,11 @@ def pop_and_skip_solution(inst, pats, rng):
         if not unpicked:
             return None
         pattern = unpicked.pop(rng.randrange(len(unpicked)))
-        lengths = pats.packed_lengths[pattern.id]
+        lengths = pats.packs[pattern.id]
         g = pattern.mold_class - 1
         if short.isdisjoint(lengths) or pattern.duration >= blocked[g]:
             continue
-        wanted = max(-(-deficits[key] // count) for key, count in lengths.items() if key in short)
+        wanted = max(-(-deficits[s] // count) for s, count in lengths.items() if s in short)
         freq = place(tables[g], pattern.duration, wanted, inst.horizon)
         if freq < wanted:
             blocked[g] = pattern.duration
@@ -230,10 +226,10 @@ def pop_and_skip_solution(inst, pats, rng):
             continue
         genes.append((pattern.id, freq))
         tally.add(pattern.id, freq)
-        for key, count in lengths.items():
-            deficits[key] = max(0, deficits[key] - count * freq)
-            if not deficits[key]:
-                short.discard(key)
+        for s, count in lengths.items():
+            deficits[s] = max(0, deficits[s] - count * freq)
+            if not deficits[s]:
+                short.discard(s)
     return ga._supply_bars(genes, tally, rng)
 
 
@@ -323,7 +319,7 @@ class TestRepair:
         tally = Tally(cwp000, cwp000_patterns, genes)
         ga._fix_stock(genes, tally)
         assert genes == [(splice.id, 14)]
-        assert tally.used[5] == 28 <= cwp000.stock[4]
+        assert tally.counts[cwp000_patterns.used_at + 4] == 28 <= cwp000.stock[4]
 
     def test_idempotent_on_corruptions(self, cwp000, cwp000_patterns):
         pats = cwp000_patterns
@@ -554,6 +550,16 @@ class TestRun:
         for change in ({"restart_elites": -1}, {"construction_pool": 0}, {"restart_patience": -1}):
             with pytest.raises(ValueError):
                 GaParams(**change)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: GaParams(crossover_kind=0), lambda: GaParams(crossover_kind=3),
+         lambda: GaParams.scaled(14, crs=3)],
+        ids=["kind-zero", "kind-three", "scaled-crs-three"],
+    )
+    def test_crossover_kind_is_one_or_two(self, make):
+        with pytest.raises(ValueError, match="crossover_kind must be 1 or 2"):
+            make()
 
     def test_scaled_rule(self):
         # NG = ng_mult * r, RST = ceil(rst * NG), AS = as_mult * r; the

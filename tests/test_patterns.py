@@ -183,9 +183,9 @@ class TestDrawIndex:
             def bits(mask):
                 return {i for i in range(pats.num_packing) if mask >> i & 1}
 
-            keys = {(p.beam_type, k) for p in pats.packing for k in range(1, len(p.counts) + 1)}
-            for key in keys:
-                assert bits(pats.cover.get(key, 0)) == {
+            assert len(pats.cover) == len(pats.keys)
+            for key, mask in zip(pats.keys, pats.cover):
+                assert bits(mask) == {
                     i
                     for i, p in enumerate(pats.packing)
                     if p.beam_type == key[0] and p.counts[key[1] - 1]
