@@ -57,4 +57,5 @@ class BudgetExceededError(BeamforgeError):
 
 
 class DimensionMismatchError(BeamforgeError):
-    """Raised when an assignment is not dimensioned to the model it is checked against."""
+    """Raised when an assignment is not dimensioned to the model it is checked
+    against, or a pattern set to the instance it is used with."""

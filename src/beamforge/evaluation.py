@@ -154,6 +154,7 @@ class Tally:
     __slots__ = ("pats", "demand", "stock", "counts")
 
     def __init__(self, inst: Instance, pats: PatternSet, genes=()):
+        pats.check_shape(inst)
         self.pats = pats
         self.demand, self.stock = inst.demand, inst.stock
         self.counts = counts = pats.zero[:]
@@ -350,13 +351,16 @@ def decode_schedule(ch: Chromosome, inst: Instance, pats: PatternSet) -> Schedul
     )
 
 
+def score_at_makespan(ch: Chromosome, inst: Instance, pats: PatternSet, makespan: int) -> float:
+    """The float objective of the plan's genes at a given makespan."""
+    return weighted_objective(inst.weights, makespan, *waste_cm(ch.genes, pats))[0]
+
+
 def score(ch: Chromosome, inst: Instance, pats: PatternSet) -> float:
     """The objective `evaluate` would give, without classifying the plan or
     building its Schedule: for plans already known to be feasible.  Raises
     HorizonError like the decoder."""
-    return weighted_objective(
-        inst.weights, plan_makespan(ch, inst, pats), *waste_cm(ch.genes, pats)
-    )[0]
+    return score_at_makespan(ch, inst, pats, plan_makespan(ch, inst, pats))
 
 
 def score_floor(ch: Chromosome, inst: Instance, pats: PatternSet) -> float:
@@ -364,9 +368,7 @@ def score_floor(ch: Chromosome, inst: Instance, pats: PatternSet) -> float:
     above `score` (float products by weights >= 0 and float sums are
     monotone), equal when each class has one curing time, and computed
     without placing anything."""
-    return weighted_objective(
-        inst.weights, makespan_floor(ch, inst, pats), *waste_cm(ch.genes, pats)
-    )[0]
+    return score_at_makespan(ch, inst, pats, makespan_floor(ch, inst, pats))
 
 
 def evaluate(ch: Chromosome, inst: Instance, pats: PatternSet) -> tuple[float, Schedule]:
@@ -387,28 +389,32 @@ def _min_makespan_order(genes: list[Gene], inst: Instance, pats: PatternSet, tic
     gives it, or None if no order fits the horizon.
 
     Classes are independent under the decoder, so the genes of each class
-    are ordered separately: the first permutation with the least makespan,
+    are ordered separately, each permutation placed on one fresh level
+    table of its class: the first permutation with the least makespan,
     which is the first to reach `makespan_floor` when one does (no order
     decodes below it).
     """
     ordered: list[Gene] = []
     worst = 0
-    for g in range(inst.num_mold_classes):
-        class_genes = [gene for gene in genes if pats.casts[gene[0]][0] == g]
+    casts, horizon = pats.casts, inst.horizon
+    for g, molds in enumerate(inst.class_molds):
+        class_genes = [gene for gene in genes if casts[gene[0]][0] == g]
         if not class_genes:
             continue
         floor = makespan_floor(Chromosome(class_genes), inst, pats)
         best = None
         for perm in itertools.permutations(class_genes):
             tick()
-            try:
-                makespan = plan_makespan(Chromosome(list(perm)), inst, pats)
-            except HorizonError:
-                continue
-            if best is None or makespan < best[0]:
-                best = (makespan, perm)
-                if makespan == floor:
-                    break
+            table = MoldLevels(molds, horizon)
+            for pid, freq in perm:
+                if place(table, casts[pid][1], freq, horizon) < freq:
+                    break  # a cast ends after the horizon: skip the order
+            else:
+                makespan = table.high
+                if best is None or makespan < best[0]:
+                    best = (makespan, perm)
+                    if makespan == floor:
+                        break
         if best is None:
             return None
         ordered.extend(best[1])

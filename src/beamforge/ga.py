@@ -29,6 +29,7 @@ from .evaluation import (
     place,
     plan_makespan,
     score,
+    score_at_makespan,
     score_floor,
 )
 from .instance import Instance
@@ -127,20 +128,28 @@ class GaResult:
 # -- pseudo-random construction --------------------------------------------
 
 
-def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chromosome | None:
+def random_solution(
+    inst: Instance, pats: PatternSet, rng: random.Random, tables=None
+) -> Chromosome | None:
     """Build a feasible chromosome or reject.
 
     Packing patterns are drawn at random from those still live (see below);
     each selected pattern is used as often as needed to cover the demand of
     the lengths it contains, capped so every use still fits inside the
     horizon.  Bars are then supplied class by class (`_supply_bars`).
+
+    Casts go on `tables`, empty per-class level tables (`mold_levels`),
+    fresh ones when none are given.  Construction places them as the
+    decoder would, gene by gene on empty molds, so the tables of an accepted
+    plan are its decoded tables.
     """
     genes: list[tuple[int, int]] = []
     tally = Tally(inst, pats)
-    counts, demand, cover, packs = tally.counts, inst.demand, pats.cover, pats.packs
+    counts, demand, cover, delta = tally.counts, inst.demand, pats.cover, pats.delta
     short = {s for s, d in enumerate(demand) if d > 0}  # beam slots
-    tables = mold_levels(inst)
-    slower = pats.slower
+    if tables is None:
+        tables = mold_levels(inst)
+    draws, horizon = pats.draws, inst.horizon
     # The patterns whose class can still place them: mold loads only grow,
     # so once a pattern places fewer uses than wanted, every pattern of its
     # class that cures as long or longer would place 0.
@@ -158,20 +167,23 @@ def random_solution(inst: Instance, pats: PatternSet, rng: random.Random) -> Chr
             live |= reach
         for _ in range(rng.randrange(live.bit_count())):
             live &= live - 1
-        pattern = pats.packing[(live & -live).bit_length() - 1]
-        lengths = packs[pattern.id]
-        wanted = max(
-            -(-(demand[s] - counts[s]) // count) for s, count in lengths.items() if s in short
-        )
+        pid, g, duration, lengths, blocks = draws[(live & -live).bit_length() - 1]
+        wanted = 0
+        for s, count in lengths:
+            if s in short:
+                uses = -(-(demand[s] - counts[s]) // count)
+                if uses > wanted:
+                    wanted = uses
         # Cap the uses so each one still finishes within the horizon.
-        freq = place(tables[pattern.mold_class - 1], pattern.duration, wanted, inst.horizon)
+        freq = place(tables[g], duration, wanted, horizon)
         if freq < wanted:
-            allowed &= ~slower[(pattern.mold_class, pattern.duration)]
+            allowed &= ~blocks
         if freq == 0:
             continue
-        genes.append((pattern.id, freq))
-        tally.add(pattern.id, freq)
-        for s in lengths:
+        genes.append((pid, freq))
+        for slot, coefficient in delta[pid]:
+            counts[slot] += coefficient * freq
+        for s, _ in lengths:
             if counts[s] >= demand[s]:
                 short.discard(s)
     return _supply_bars(genes, tally, rng)
@@ -459,13 +471,15 @@ def _draw_population(pool, size, seed_members, seed_fitnesses, inst, pats, rng):
     candidates = list(zip(seed_members, seed_fitnesses))
     rejected = 0
     for _ in range(pool):
-        ch = random_solution(inst, pats, rng)
+        tables = mold_levels(inst)
+        ch = random_solution(inst, pats, rng, tables)
         if ch is None:
             rejected += 1
             continue
-        # Construction placed every cast, in gene order, on empty molds, so
-        # scoring replays placements that fit.
-        candidates.append((ch, score(ch, inst, pats)))
+        # The tables hold the decoded placements, so the plan scores from
+        # them without placing its casts again.
+        makespan = max(table.high for table in tables)
+        candidates.append((ch, score_at_makespan(ch, inst, pats, makespan)))
     candidates.sort(key=lambda item: (item[1], item[0].key()))
     members, fitnesses, seen = [], [], set()
     for ch, value in candidates:

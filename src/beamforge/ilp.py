@@ -173,6 +173,7 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
     x_i_m_t sits at base[m] + (t - 1)·width[m] + position.  A row's columns
     are slices, strided over periods where needed, of the array of all ids.
     """
+    pats.check_shape(inst)
     T = inst.horizon
     M = inst.num_molds
     W = inst.num_bar_kinds

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import InfeasibleInstanceError
+from .errors import DimensionMismatchError, InfeasibleInstanceError
 from .instance import Instance, cm_to_m
 
 
@@ -89,6 +90,16 @@ class OverlappingPattern(Producer):
     bucket: int = REUSE
 
 
+class DrawRecord(NamedTuple):
+    """What construction reads of one packing pattern per pick."""
+
+    id: int
+    mold_class: int  # 0-based
+    duration: int
+    packs: tuple[tuple[int, int], ...]  # (beam slot, count) of each length it packs
+    blocks: int  # mask of the patterns of its class that cure at least as long
+
+
 @dataclass
 class PatternSet:
     """All patterns of an instance under the global id scheme, with what one
@@ -114,16 +125,17 @@ class PatternSet:
     producers that make that class alone and of those that draw that kind;
     ids from `first_splice` on are splices.  For construction, `cover` is
     per beam slot the mask of the packing patterns that pack it, bit i
-    standing for packing[i], and `pools` per class the ids of the cuts and
-    of the splices that make it.
+    standing for packing[i], `draws` per packing index its `DrawRecord`,
+    and `pools` per class the ids of the cuts and of the splices that make
+    it.
     """
 
     packing: list[PackingPattern]
     cutting: list[CuttingPattern]
     overlapping: list[OverlappingPattern]
-    keys: tuple[tuple[int, int], ...] = ()
-    classes: int = 0
-    kinds: int = 0
+    keys: tuple[tuple[int, int], ...]
+    classes: int
+    kinds: int
 
     def __post_init__(self):
         self._by_id = {}
@@ -148,12 +160,31 @@ class PatternSet:
         self.pools = [([], []) for _ in range(self.classes)]
         self.cover = [0] * len(self.keys)
         slot = {key: s for s, key in enumerate(self.keys)}
+        blocks: dict[tuple[int, int], int] = {}  # per (class, curing time)
+        for p in self.packing:
+            key = (p.mold_class, p.duration)
+            if key not in blocks:
+                blocks[key] = sum(
+                    1 << j
+                    for j, q in enumerate(self.packing)
+                    if q.mold_class == p.mold_class and q.duration >= p.duration
+                )
+        self.draws = []
         for i, p in enumerate(self.packing):
             packs = {slot[p.beam_type, k]: n for k, n in enumerate(p.counts, start=1) if n}
             self.packs[p.id] = packs
             self.delta[p.id] = (*packs.items(), (required_at + p.mold_class - 1, p.bars))
             for s in packs:
                 self.cover[s] |= 1 << i
+            self.draws.append(
+                DrawRecord(
+                    p.id,
+                    p.mold_class - 1,
+                    p.duration,
+                    tuple(packs.items()),
+                    blocks[p.mold_class, p.duration],
+                )
+            )
         for p in self.producers:
             made = [(g, n) for g, n in enumerate(p.item_counts) if n]  # 0-based classes
             used = [(w - 1, need) for w, need in p.stock_use]  # 0-based kinds
@@ -170,23 +201,6 @@ class PatternSet:
                 self.drawers[w][p.id] = need
             for g, _ in made:
                 self.pools[g][0 if p.id < self.first_splice else 1].append(p.id)
-
-    # Construction's draw index besides `cover`, built on first use.
-
-    @cached_property
-    def slower(self) -> dict[tuple[int, int], int]:
-        """Per (mold class, curing time) of a pattern, the patterns of that
-        class that cure at least as long."""
-        masks: dict[tuple[int, int], int] = {}
-        for p in self.packing:
-            key = (p.mold_class, p.duration)
-            if key not in masks:
-                masks[key] = sum(
-                    1 << i
-                    for i, q in enumerate(self.packing)
-                    if q.mold_class == p.mold_class and q.duration >= p.duration
-                )
-        return masks
 
     # Per-pattern tables for the decoder and the objective, built on first
     # use and indexed by pattern id (entry 0 unused).
@@ -208,6 +222,20 @@ class PatternSet:
         for p in self.producers:
             wastes[p.id] = (p.bucket, p.waste)
         return wastes
+
+    def check_shape(self, inst: Instance) -> None:
+        """Raise unless `inst` has this set's demand slots, mold classes and
+        bar kinds: a tally would compare the wrong slots otherwise."""
+        if (len(inst.demand), len(inst.class_molds), len(inst.stock)) != (
+            len(self.keys),
+            self.classes,
+            self.kinds,
+        ):
+            raise DimensionMismatchError(
+                f"the patterns serve {len(self.keys)} demanded lengths, {self.classes} mold "
+                f"classes and {self.kinds} bar kinds; the instance has {len(inst.demand)}, "
+                f"{len(inst.class_molds)} and {len(inst.stock)}"
+            )
 
     @property
     def num_packing(self) -> int:
@@ -305,6 +333,7 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
     length the demand needs (no cut or splice makes more bar than it uses),
     or makes fewer mold-length bars than any plan needs.  Both stock checks
     are necessary, not sufficient."""
+    pats.check_shape(inst)
     start = 0  # the beam slot of the type's first length
     for c, bt in enumerate(inst.beam_types, start=1):
         if any(bt.demands) and bt.curing_time > inst.horizon:

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamforge.errors import HorizonError, InfeasibleChromosomeError, UnknownPatternError
+from beamforge.errors import (
+    DimensionMismatchError,
+    HorizonError,
+    InfeasibleChromosomeError,
+    UnknownPatternError,
+)
 from beamforge.evaluation import (
     Chromosome,
     Tally,
@@ -26,7 +31,8 @@ from beamforge.evaluation import (
 )
 from beamforge.ga import crossover1, random_solution, repair
 from beamforge.instance import generate_instance, parse_instance
-from beamforge.patterns import PackingPattern, generate_patterns
+from beamforge.ilp import build_model
+from beamforge.patterns import PackingPattern, PatternSet, generate_patterns, require_castable
 
 from conftest import (
     CWP000_DOC,
@@ -499,6 +505,27 @@ class TestTally:
         assert tally.short()
         assert tally.report().demand_shortfall == {(1, 2): 1}
         assert random_solution(inst, pats, random.Random(0)) is None
+
+    def test_a_pattern_set_of_another_shape_is_rejected(self, cwp000, cwp000_patterns):
+        # cwp000 has 2 demanded lengths, 2 mold classes and 5 bar kinds;
+        # (7, 1, 5) demands 132 beams of 4 lengths and has one mold class.
+        # A set built without its shape would tally no slots at all.
+        with pytest.raises(TypeError):
+            PatternSet(packing=[], cutting=[], overlapping=[])
+        other = generate_instance(7, 1, 5)
+        with pytest.raises(DimensionMismatchError):
+            Tally(other, cwp000_patterns)
+        with pytest.raises(DimensionMismatchError):
+            require_castable(other, cwp000_patterns)
+        with pytest.raises(DimensionMismatchError):
+            build_model(other, cwp000_patterns)
+        with pytest.raises(DimensionMismatchError):
+            Tally(cwp000, generate_patterns(other))
+        for field, value in (("keys", ((1, 1),)), ("classes", 1), ("kinds", 4)):
+            shape = {"keys": cwp000.demand_keys, "classes": 2, "kinds": 5, field: value}
+            pats = PatternSet(packing=[], cutting=[], overlapping=[], **shape)
+            with pytest.raises(DimensionMismatchError):
+                Tally(cwp000, pats)
 
 
 class TestOracle:

@@ -8,6 +8,7 @@ from beamforge import ga
 from beamforge.evaluation import (
     Chromosome,
     Tally,
+    _place_genes,
     classify_infeasibility,
     decode_schedule,
     evaluate,
@@ -171,6 +172,23 @@ class TestConstruction:
         assert len(plans) > 300
         for ch in plans:
             assert score(ch, inst, pats) == evaluate(ch, inst, pats)[0]
+
+    def test_caller_tables_change_no_draw(self, instance_pair):
+        # Draws on caller tables give the plans and leave the generator state
+        # of draws on their own tables, and an accepted plan's tables are the
+        # ones the decoder builds.
+        inst, pats = instance_pair
+        own, theirs = random.Random(31), random.Random(31)
+        for _ in range(600):
+            tables = mold_levels(inst)
+            ch = random_solution(inst, pats, own)
+            assert random_solution(inst, pats, theirs, tables) == ch
+            assert own.getstate() == theirs.getstate()
+            if ch is not None:
+                decoded = _place_genes(ch, inst, pats)
+                assert [(t.levels, t.low, t.high) for t in tables] == [
+                    (t.levels, t.low, t.high) for t in decoded
+                ]
 
     def test_live_draws_match_pop_and_skip(self, instance_pair):
         # Drawing uniformly among the live packing patterns must give the
@@ -475,6 +493,29 @@ class TestInitPopulation:
         pop = init_population(params, inst, pats, random.Random(2))
         assert len(outcomes) == 300
         assert 0 < pop.rejected_constructions == outcomes.count(None) < 300
+
+    @pytest.mark.parametrize(
+        "args, pool",
+        [(None, 400), ((7, 1, 5), 400), ((7, 2, 15), 1200), ((23, 2, 15), 300)],
+        ids=["cwp000", "7-1-5", "7-2-15", "23-2-15"],
+    )
+    def test_population_values_are_scores(self, monkeypatch, cwp000, cwp000_patterns, args, pool):
+        # Each accepted draw is valued from its construction's tables; the
+        # value must be score's, bit for bit.
+        inst = cwp000 if args is None else generate_instance(*args)
+        pats = cwp000_patterns if args is None else generate_patterns(inst)
+        valued = []
+
+        def recording(ch, *rest):
+            valued.append((ch, real(ch, *rest)))
+            return valued[-1][1]
+
+        real = ga.score_at_makespan
+        monkeypatch.setattr(ga, "score_at_makespan", recording)
+        members, _, rejected = ga._draw_population(pool, 25, [], [], inst, pats, random.Random(6))
+        assert members and len(valued) == pool - rejected > 0
+        for ch, value in valued:
+            assert value.hex() == score(ch, inst, pats).hex()
 
     def test_infeasible_instance_raises(self):
         inst = make_instance(

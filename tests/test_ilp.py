@@ -216,7 +216,15 @@ class TestEmit:
         assert objective == pytest.approx(emitted_obj)
 
     def test_empty_pattern_set(self, cwp000):
-        model = build_model(cwp000, PatternSet(packing=[], cutting=[], overlapping=[]))
+        empty = PatternSet(
+            packing=[],
+            cutting=[],
+            overlapping=[],
+            keys=cwp000.demand_keys,
+            classes=cwp000.num_mold_classes,
+            kinds=len(cwp000.stock),
+        )
+        model = build_model(cwp000, empty)
         text = emit_lp(model)
         objective, _, _, _, _ = parse_lp(text)
         assert set(objective) == {"z_1", "z_2", "z_3"}

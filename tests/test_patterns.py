@@ -190,8 +190,12 @@ class TestDrawIndex:
                     for i, p in enumerate(pats.packing)
                     if p.beam_type == key[0] and p.counts[key[1] - 1]
                 }
-            for p in pats.packing:
-                assert bits(pats.slower[(p.mold_class, p.duration)]) == {
+            assert len(pats.draws) == pats.num_packing
+            for p, draw in zip(pats.packing, pats.draws):
+                assert draw.id == p.id
+                assert (draw.mold_class, draw.duration) == (p.mold_class - 1, p.duration)
+                assert draw.packs == tuple(pats.packs[p.id].items())
+                assert bits(draw.blocks) == {
                     i
                     for i, q in enumerate(pats.packing)
                     if q.mold_class == p.mold_class and q.duration >= p.duration
