@@ -172,19 +172,13 @@ class PatternSet:
         self.draws = []
         for i, p in enumerate(self.packing):
             packs = {slot[p.beam_type, k]: n for k, n in enumerate(p.counts, start=1) if n}
+            pairs = tuple(packs.items())
             self.packs[p.id] = packs
-            self.delta[p.id] = (*packs.items(), (required_at + p.mold_class - 1, p.bars))
+            self.delta[p.id] = (*pairs, (required_at + p.mold_class - 1, p.bars))
             for s in packs:
                 self.cover[s] |= 1 << i
-            self.draws.append(
-                DrawRecord(
-                    p.id,
-                    p.mold_class - 1,
-                    p.duration,
-                    tuple(packs.items()),
-                    blocks[p.mold_class, p.duration],
-                )
-            )
+            block = blocks[p.mold_class, p.duration]
+            self.draws.append(DrawRecord(p.id, p.mold_class - 1, p.duration, pairs, block))
         for p in self.producers:
             made = [(g, n) for g, n in enumerate(p.item_counts) if n]  # 0-based classes
             used = [(w - 1, need) for w, need in p.stock_use]  # 0-based kinds
