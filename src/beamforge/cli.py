@@ -105,7 +105,7 @@ def render_gantt(schedule, pats, horizon: int) -> str:
     for starts in schedule.assignments:
         row = ["."] * horizon
         for pid, start in starts:
-            duration = pats.by_id(pid).duration
+            _, duration = pats.casts[pid]
             for t in range(start - 1, start - 1 + duration):
                 row[t] = _B36[pid % 36]
         lines.append("".join(row))
@@ -151,6 +151,9 @@ def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     pats = generate_patterns(inst)
     params = GaParams.scaled(pats.num_packing, **{name: getattr(args, name) for name in _TUNED})
+    if args.trace is not None and args.out is not None:
+        if os.path.realpath(args.trace) == os.path.realpath(args.out):
+            raise ValueError(f"--trace {args.trace} and --out {args.out} are one file")
     _check_writable(args.trace, args.out)
     result = run(inst, pats, params)
     schedule = result.schedule
@@ -161,7 +164,7 @@ def _cmd_solve(args) -> int:
         "breakdown": list(schedule.objective_breakdown),
         "gantt": [
             [
-                {"pattern": pid, "start": start, "duration": pats.by_id(pid).duration}
+                {"pattern": pid, "start": start, "duration": pats.casts[pid][1]}
                 for pid, start in starts
             ]
             for starts in schedule.assignments

@@ -28,7 +28,7 @@ from .evaluation import (
     weighted_objective,
 )
 from .instance import Instance
-from .patterns import CuttingPattern, OverlappingPattern, PatternSet
+from .patterns import OverlappingPattern, PatternSet
 
 
 def _ints(values=()) -> array:
@@ -147,8 +147,8 @@ class IlpModel:
 
     def admitted(self, mold: int) -> list[int]:
         """Packing pattern ids admitted to a 1-based mold (its length class)."""
-        g = self.inst.mold_class_of(mold - 1)
-        return [p.id for p in self.pats.packing_in_class(g)]
+        g = self.inst.mold_classes[mold - 1]
+        return [p.id for p in self.pats.packing if p.mold_class == g]
 
 
 def _xname(i: int, m: int, t: int) -> str:
@@ -182,7 +182,7 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
     model = IlpModel(inst=inst, pats=pats, x_keys=[], fixed_zero=set())
     x_keys, blocks = model.x_keys, model.blocks
 
-    admitted = {m: [pats.by_id(i) for i in model.admitted(m)] for m in range(1, M + 1)}
+    admitted = {m: [pats.packing[i - 1] for i in model.admitted(m)] for m in range(1, M + 1)}
     base, width = {}, {}
     for m in range(1, M + 1):
         base[m], width[m] = len(x_keys), 1 + len(admitted[m])
@@ -311,7 +311,7 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
         block.coeffs += balance[g][0]
         block.cols += balance[g][1]
         for m in range(1, M + 1):
-            if inst.mold_class_of(m - 1) != g:
+            if inst.mold_classes[m - 1] != g:
                 continue
             b, w = base[m], width[m]
             for pos, pattern in enumerate(admitted[m], start=1):
@@ -400,17 +400,16 @@ def induced_assignment(model: IlpModel, ch: Chromosome, schedule: Schedule | Non
     for m, starts in enumerate(schedule.assignments, start=1):
         for pid, start in starts:
             x[(pid, m, start)] = 1
-            duration = pats.by_id(pid).duration
+            _, duration = pats.casts[pid]
             for t in range(start + 1, start + duration):
                 x[(0, m, t)] = 1
     z = {t: int(t <= schedule.makespan) for t in model.z_keys}
     cuts = {p.id: 0 for p in pats.cutting}
     overlaps = {p.id: 0 for p in pats.overlapping}
     for pid, freq in ch.genes:
-        pattern = pats.by_id(pid)
-        if isinstance(pattern, CuttingPattern):
+        if pid in cuts:
             cuts[pid] += freq
-        elif isinstance(pattern, OverlappingPattern):
+        elif pid in overlaps:
             overlaps[pid] += freq
     return Assignment(x=x, z=z, cuts=cuts, overlaps=overlaps)
 

@@ -111,14 +111,6 @@ class Instance:
     def num_mold_classes(self) -> int:
         return len(self.distinct_mold_lengths)
 
-    def mold_class_of(self, mold_index: int) -> int:
-        """1-based class of a 0-based mold index."""
-        return self.mold_classes[mold_index]
-
-    def molds_in_class(self, mold_class: int) -> tuple[int, ...]:
-        """0-based mold indices whose length is the given 1-based class."""
-        return self.class_molds[mold_class - 1]
-
     @property
     def max_curing_time(self) -> int:
         return max(bt.curing_time for bt in self.beam_types)

@@ -8,7 +8,6 @@ order so that chromosomes and emitted models are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -112,11 +111,16 @@ class PatternSet:
     per class and stock drawn per bar kind, the last three sections starting
     at `required_at`, `made_at` and `used_at`.  `zero` is the empty tally.
 
-    Per pattern id:
+    The ids must run 1..total over packing, cutting and overlapping in that
+    order.  Per pattern id:
     - `delta`: the ((slot, coefficient), ...) one use adds; a dict, so an
       unknown id has no entry;
     - `packs`: a packing pattern's {beam slot: count} of the lengths it
       packs, {} for a producer;
+    - `casts`: a packing pattern's (0-based mold class, curing time), None
+      for a producer;
+    - `wastes`: a producer's (waste bucket, waste cm), (0, 0) for a packing
+      pattern, whose waste no bucket takes;
     - `bar_room` and `stock_room`: a producer's (required slot, made slot,
       bars per use) and (bar kind, used slot, need per use) terms of
       `Tally.room`, bar kinds 0-based.
@@ -138,20 +142,22 @@ class PatternSet:
     kinds: int
 
     def __post_init__(self):
-        self._by_id = {}
-        for p in self.packing:
-            self._by_id[p.id] = p
-        for p in self.cutting:
-            self._by_id[p.id] = p
-        for p in self.overlapping:
-            self._by_id[p.id] = p
+        producers = self.producers
+        for pid, p in enumerate(self.packing + producers, start=1):
+            if p.id != pid:
+                raise ValueError(
+                    f"pattern id {p.id} stands where id {pid} belongs: ids run 1..total "
+                    "over packing, cutting and overlapping patterns in that order"
+                )
         self.required_at = required_at = len(self.keys)
         self.made_at = made_at = required_at + self.classes
         self.used_at = used_at = made_at + self.classes
         self.zero = [0] * (used_at + self.kinds)
-        size = self.total + 1
+        size = len(self.packing) + len(producers) + 1
         self.delta = {}
         self.packs = [{}] * size
+        self.casts = [None] * size
+        self.wastes = [(0, 0)] * size
         self.bar_room = [()] * size
         self.stock_room = [()] * size
         self.makers = [{} for _ in range(self.classes)]
@@ -174,18 +180,20 @@ class PatternSet:
             packs = {slot[p.beam_type, k]: n for k, n in enumerate(p.counts, start=1) if n}
             pairs = tuple(packs.items())
             self.packs[p.id] = packs
+            self.casts[p.id] = (p.mold_class - 1, p.duration)
             self.delta[p.id] = (*pairs, (required_at + p.mold_class - 1, p.bars))
             for s in packs:
                 self.cover[s] |= 1 << i
             block = blocks[p.mold_class, p.duration]
             self.draws.append(DrawRecord(p.id, p.mold_class - 1, p.duration, pairs, block))
-        for p in self.producers:
+        for p in producers:
             made = [(g, n) for g, n in enumerate(p.item_counts) if n]  # 0-based classes
             used = [(w - 1, need) for w, need in p.stock_use]  # 0-based kinds
             self.delta[p.id] = (
                 *((used_at + w, need) for w, need in used),
                 *((made_at + g, n) for g, n in made),
             )
+            self.wastes[p.id] = (p.bucket, p.waste)
             self.bar_room[p.id] = tuple((required_at + g, made_at + g, n) for g, n in made)
             self.stock_room[p.id] = tuple((w, used_at + w, need) for w, need in used)
             if len(made) == 1:
@@ -195,27 +203,6 @@ class PatternSet:
                 self.drawers[w][p.id] = need
             for g, _ in made:
                 self.pools[g][0 if p.id < self.first_splice else 1].append(p.id)
-
-    # Per-pattern tables for the decoder and the objective, built on first
-    # use and indexed by pattern id (entry 0 unused).
-
-    @cached_property
-    def casts(self) -> list[tuple[int, int] | None]:
-        """A packing pattern's (0-based mold class, curing time); None for
-        cuts and splices."""
-        casts = [None] * (max(self._by_id, default=0) + 1)
-        for p in self.packing:
-            casts[p.id] = (p.mold_class - 1, p.duration)
-        return casts
-
-    @cached_property
-    def wastes(self) -> list[tuple[int, int]]:
-        """A producer's (waste bucket, waste cm); (0, 0) for packing
-        patterns, whose waste no bucket takes."""
-        wastes = [(0, 0)] * (max(self._by_id, default=0) + 1)
-        for p in self.producers:
-            wastes[p.id] = (p.bucket, p.waste)
-        return wastes
 
     def check_shape(self, inst: Instance) -> None:
         """Raise unless `inst` has this set's demand slots, mold classes and
@@ -240,37 +227,34 @@ class PatternSet:
         return len(self.cutting)
 
     @property
-    def num_overlapping(self) -> int:
-        return len(self.overlapping)
-
-    @property
     def total(self) -> int:
-        return len(self._by_id)
+        return len(self.delta)
 
     def __contains__(self, pattern_id: int) -> bool:
-        return pattern_id in self._by_id
-
-    def by_id(self, pattern_id: int):
-        return self._by_id[pattern_id]
+        return pattern_id in self.delta
 
     @property
     def producers(self) -> list:
         """Cuts, then splices: every pattern that makes mold-length bars."""
         return self.cutting + self.overlapping
 
-    def packing_in_class(self, mold_class: int) -> list[PackingPattern]:
-        return [p for p in self.packing if p.mold_class == mold_class]
+
+def _fillings(sizes, capacity: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every (counts, used) with counts[k] pieces of sizes[k] whose total
+    length `used` fits in `capacity`, the empty vector included, in
+    ascending lexicographic order of counts."""
+    fills = [((), 0)]
+    for size in sizes:
+        fills = [
+            ((*counts, n), used + n * size)
+            for counts, used in fills
+            for n in range((capacity - used) // size + 1)
+        ]
+    return fills
 
 
-def contains(p: PackingPattern, q: PackingPattern) -> bool:
-    """True when p packs at least as many beams of every length of the same type."""
-    if p.beam_type != q.beam_type:
-        return False
-    return all(a >= b for a, b in zip(p.counts, q.counts))
-
-
-def _packing_tuples(inst: Instance, maximal_only: bool):
-    """Yield (beam_type, mold_class, counts, used) in deterministic order.
+def enumerate_packing_patterns(inst: Instance, maximal_only: bool = True) -> list[PackingPattern]:
+    """All packing patterns, maximal for their mold class unless disabled.
 
     The count vectors of each (type, class) block are ordered by ascending
     reversed tuple, which lists the variant richest in the first (shortest)
@@ -278,46 +262,29 @@ def _packing_tuples(inst: Instance, maximal_only: bool):
     """
     found = []
     for c, bt in enumerate(inst.beam_types, start=1):
-        lengths = bt.lengths
-        q = len(lengths)
-        shortest = min(lengths)
         for g, cap in enumerate(inst.distinct_mold_lengths, start=1):
-            lower = cap - shortest if maximal_only else 0
-            counts = [0] * q
-
-            def rec(k: int, used: int):
-                if k == q:
-                    if used > lower and used > 0:
-                        found.append((c, g, tuple(counts), used))
-                    return
-                limit = (cap - used) // lengths[k]
-                for n in range(limit + 1):
-                    counts[k] = n
-                    rec(k + 1, used + n * lengths[k])
-                counts[k] = 0
-
-            rec(0, 0)
-    found.sort(key=lambda item: (item[0], item[1], tuple(reversed(item[2]))))
-    return found
-
-
-def enumerate_packing_patterns(inst: Instance, maximal_only: bool = True) -> list[PackingPattern]:
-    """All packing patterns, maximal for their mold class unless disabled."""
-    out = []
-    for pid, (c, g, counts, used) in enumerate(_packing_tuples(inst, maximal_only), start=1):
-        bt = inst.beam_types[c - 1]
-        out.append(
-            PackingPattern(
-                id=pid,
-                beam_type=c,
-                counts=counts,
-                mold_class=g,
-                used_capacity=used,
-                duration=bt.curing_time,
-                bars=bt.bars_per_beam,
-            )
+            lower = max(cap - min(bt.lengths) if maximal_only else 0, 0)
+            # Count vectors over the lengths in reverse, so the sort orders them
+            # by reversed tuple.
+            found += [
+                (c, g, counts, used)
+                for counts, used in _fillings(bt.lengths[::-1], cap)
+                if used > lower
+            ]
+    found.sort()
+    types = inst.beam_types
+    return [
+        PackingPattern(
+            id=pid,
+            beam_type=c,
+            counts=counts[::-1],
+            mold_class=g,
+            used_capacity=used,
+            duration=types[c - 1].curing_time,
+            bars=types[c - 1].bars_per_beam,
         )
-    return out
+        for pid, (c, g, counts, used) in enumerate(found, start=1)
+    ]
 
 
 def require_castable(inst: Instance, pats: PatternSet) -> None:
@@ -382,108 +349,72 @@ def _fewest_bars(inst: Instance, pats: PatternSet) -> int:
     return sum(inst.beam_types[c - 1].bars_per_beam * n for c, n in casts.items())
 
 
-def _cutting_tuples(inst: Instance):
-    """Yield (source_bar, item_counts, leftover_counts, waste), sorted."""
-    classes = inst.distinct_mold_lengths
-    W = inst.num_bar_kinds
-    V = inst.num_leftover_kinds
+def _cutting_patterns(inst: Instance, first_id: int) -> list[CuttingPattern]:
+    """Every cut of a bar into at least one mold-length item, sorted by
+    (source bar, item counts, leftover counts) and numbered from first_id."""
+    W, V = inst.num_bar_kinds, inst.num_leftover_kinds
+    none = (0,) * V
     found = []
     for w, bar in enumerate(inst.bar_lengths, start=1):
-        items = [0] * len(classes)
-
-        def rec(k: int, used: int):
-            if k == len(classes):
-                if not any(items):
-                    return
-                remaining = bar - used
-                found.append((w, tuple(items), tuple([0] * V), remaining))
-                if w <= W:
-                    # A cut of a new bar may set aside one leftover kind.
-                    for v in range(1, V + 1):
-                        piece = inst.leftover_length(v)
-                        for n in range(1, remaining // piece + 1):
-                            leftovers = [0] * V
-                            leftovers[v - 1] = n
-                            found.append(
-                                (w, tuple(items), tuple(leftovers), remaining - n * piece)
-                            )
-                return
-            limit = (bar - used) // classes[k]
-            for n in range(limit + 1):
-                items[k] = n
-                rec(k + 1, used + n * classes[k])
-            items[k] = 0
-
-        rec(0, 0)
-    found.sort(key=lambda item: (item[0], item[1], item[2]))
-    return found
-
-
-def _cutting_list(inst: Instance, offset: int) -> list[CuttingPattern]:
-    out = []
-    for pid, (w, items, leftovers, waste) in enumerate(_cutting_tuples(inst), start=offset + 1):
-        out.append(
-            CuttingPattern(
-                id=pid,
-                source_bar=w,
-                item_counts=items,
-                leftover_counts=leftovers,
-                waste=waste,
-                stock_use=((w, 1),),
-                bucket=(
-                    REUSE
-                    if w > inst.num_bar_kinds
-                    else NEW_BAR_LEFTOVER
-                    if any(leftovers)
-                    else NEW_BAR
-                ),
-            )
+        for items, used in _fillings(inst.distinct_mold_lengths, bar):
+            if not used:
+                continue
+            remaining = bar - used
+            found.append((w, items, none, remaining))
+            if w <= W:
+                # A cut of a new bar may set aside one leftover kind.
+                for v in range(1, V + 1):
+                    piece = inst.leftover_length(v)
+                    for n in range(1, remaining // piece + 1):
+                        leftovers = (*none[: v - 1], n, *none[v:])
+                        found.append((w, items, leftovers, remaining - n * piece))
+    found.sort()
+    return [
+        CuttingPattern(
+            id=pid,
+            source_bar=w,
+            item_counts=items,
+            leftover_counts=leftovers,
+            waste=waste,
+            stock_use=((w, 1),),
+            bucket=REUSE if w > W else NEW_BAR_LEFTOVER if any(leftovers) else NEW_BAR,
         )
-    return out
+        for pid, (w, items, leftovers, waste) in enumerate(found, start=first_id)
+    ]
 
 
-def _overlapping_tuples(inst: Instance):
-    """Yield (produced_class, leftover_counts, waste) for all splice pairs."""
-    V = inst.num_leftover_kinds
+def _overlapping_patterns(inst: Instance, first_id: int) -> list[OverlappingPattern]:
+    """Every splice of two leftovers into a bar of one mold class, sorted by
+    (class, leftover counts) and numbered from first_id."""
+    W, V = inst.num_bar_kinds, inst.num_leftover_kinds
+    classes = inst.num_mold_classes
     found = []
     for g, cap in enumerate(inst.distinct_mold_lengths, start=1):
         for v1 in range(1, V + 1):
             for v2 in range(v1, V + 1):
                 combined = inst.leftover_length(v1) + inst.leftover_length(v2)
-                if combined < cap + inst.overlap_loss:
-                    continue
-                counts = [0] * V
-                counts[v1 - 1] += 1
-                counts[v2 - 1] += 1
-                found.append((g, tuple(counts), combined - cap))
-    found.sort(key=lambda item: (item[0], item[1]))
-    return found
-
-
-def _overlapping_list(inst: Instance, offset: int) -> list[OverlappingPattern]:
-    W = inst.num_bar_kinds
-    out = []
-    for pid, (g, counts, waste) in enumerate(_overlapping_tuples(inst), start=offset + 1):
-        items = [0] * inst.num_mold_classes
-        items[g - 1] = 1
-        out.append(
-            OverlappingPattern(
-                id=pid,
-                produced_class=g,
-                leftover_counts=counts,
-                waste=waste,
-                item_counts=tuple(items),
-                stock_use=tuple((W + v, n) for v, n in enumerate(counts, start=1) if n),
-            )
+                if combined >= cap + inst.overlap_loss:
+                    counts = tuple((v == v1) + (v == v2) for v in range(1, V + 1))
+                    found.append((g, counts, combined - cap))
+    found.sort()
+    return [
+        OverlappingPattern(
+            id=pid,
+            produced_class=g,
+            leftover_counts=counts,
+            waste=waste,
+            item_counts=tuple(int(h == g) for h in range(1, classes + 1)),
+            stock_use=tuple((W + v, n) for v, n in enumerate(counts, start=1) if n),
         )
-    return out
+        for pid, (g, counts, waste) in enumerate(found, start=first_id)
+    ]
 
 
 def generate_patterns(inst: Instance, maximal_only: bool = True) -> PatternSet:
     """Enumerate all three pattern kinds and assign the global id scheme."""
     packing = enumerate_packing_patterns(inst, maximal_only=maximal_only)
-    cutting = _cutting_list(inst, len(packing))
-    overlapping = _overlapping_list(inst, len(packing) + len(cutting))
+    cutting = _cutting_patterns(inst, len(packing) + 1)
+    overlapping = _overlapping_patterns(inst, len(packing) + len(cutting) + 1)
     return PatternSet(
         packing=packing,
         cutting=cutting,

@@ -77,6 +77,12 @@ def beam_type(lengths, demands, curing=1, bars=1):
     )
 
 
+def pattern_by_id(pats, pid):
+    """The pattern record of an id: ids run 1..total over the packing, the
+    cutting and the overlapping patterns in that order."""
+    return (pats.packing + pats.producers)[pid - 1]
+
+
 def find_cutting(pats, source_bar, item_counts, leftover_counts):
     """Look a cutting pattern up by content; ids are an enumeration detail."""
     for p in pats.cutting:

@@ -225,6 +225,26 @@ class TestExitCodes:
         assert "plan.json" in captured.err
         assert not trace.exists()
 
+    @pytest.mark.parametrize("spelling", ["plan.json", "./sub/../plan.json"])
+    def test_trace_on_the_out_is_validation_error(
+        self, instance_file, tmp_path, capsys, monkeypatch, spelling
+    ):
+        # The solution document would overwrite the trace.
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("beamforge.cli.run", no_search)
+        (tmp_path / "sub").mkdir()
+        trace = tmp_path / "plan.json"
+        out = os.path.join(str(tmp_path), *spelling.split("/"))
+        argv = ["solve", "--instance", instance_file, "--trace", str(trace), "--out", out]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("beamforge: ") and captured.err.count("\n") == 1
+        assert "one file" in captured.err
+        assert not trace.exists()
+
     @pytest.mark.parametrize("where", ["out", "aggregate"])
     def test_unwritable_bench_output_fails_before_any_trial(
         self, mini_dir, tmp_path, capsys, monkeypatch, where

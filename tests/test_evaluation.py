@@ -42,6 +42,7 @@ from conftest import (
     find_cutting,
     find_packing,
     make_instance,
+    pattern_by_id,
 )
 from test_acceptance import tiny_instance
 
@@ -81,7 +82,10 @@ class TestDecode:
 
 def mold_loads(schedule, pats):
     """Occupied periods per mold, summed from the decoded assignments."""
-    return [sum(pats.by_id(pid).duration for pid, _ in starts) for starts in schedule.assignments]
+    return [
+        sum(pattern_by_id(pats, pid).duration for pid, _ in starts)
+        for starts in schedule.assignments
+    ]
 
 
 def min_scan_decode(genes, inst, pats):
@@ -90,10 +94,10 @@ def min_scan_decode(genes, inst, pats):
     loads = [0] * inst.num_molds
     assignments = [[] for _ in range(inst.num_molds)]
     for pid, freq in genes:
-        pattern = pats.by_id(pid)
+        pattern = pattern_by_id(pats, pid)
         if not isinstance(pattern, PackingPattern):
             continue
-        molds = inst.molds_in_class(pattern.mold_class)
+        molds = inst.class_molds[pattern.mold_class - 1]
         for _ in range(freq):
             target = min(molds, key=lambda m: loads[m])
             if loads[target] + pattern.duration > inst.horizon:
@@ -236,7 +240,7 @@ class TestScoreFloor:
     def one_curing_time_per_class(ch, pats):
         durations = {}
         for pid, _ in ch.genes:
-            p = pats.by_id(pid)
+            p = pattern_by_id(pats, pid)
             if isinstance(p, PackingPattern):
                 durations.setdefault(p.mold_class, set()).add(p.duration)
         return all(len(d) == 1 for d in durations.values())
@@ -580,7 +584,7 @@ class TestOracle:
         result = exhaustive_optimum(inst, pats, max_freq=5, max_genes=6)
         assert check_oracle_result(inst, pats, result).objective_cm == 310
         ch = result[0]
-        used = {pats.by_id(pid).item_counts for pid, _ in ch.genes if pid in
+        used = {pattern_by_id(pats, pid).item_counts for pid, _ in ch.genes if pid in
                 {p.id for p in pats.cutting}}
         assert (1, 1) in used
 

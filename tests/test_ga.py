@@ -40,6 +40,7 @@ from conftest import (
     find_cutting,
     find_packing,
     make_instance,
+    pattern_by_id,
 )
 
 
@@ -142,7 +143,7 @@ class TestConstruction:
             produced += 1
             assert feasible_and_schedulable(ch, inst, pats)
             for pid, _ in ch.genes:
-                pattern = pats.by_id(pid)
+                pattern = pattern_by_id(pats, pid)
                 if isinstance(pattern, CuttingPattern):
                     assert pattern.item_counts[1] == 0  # no long bars from cuts
         assert produced > 0

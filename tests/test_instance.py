@@ -35,10 +35,10 @@ class TestParse:
     def test_distinct_mold_lengths_sorted(self, cwp000):
         assert cwp000.distinct_mold_lengths == [595, 1195]
         assert cwp000.num_mold_classes == 2
-        assert cwp000.mold_class_of(0) == 1
-        assert cwp000.mold_class_of(4) == 2
-        assert cwp000.molds_in_class(1) == (0, 1, 2, 3)
-        assert cwp000.molds_in_class(2) == (4,)
+        assert cwp000.mold_classes[0] == 1
+        assert cwp000.mold_classes[4] == 2
+        assert cwp000.class_molds[0] == (0, 1, 2, 3)
+        assert cwp000.class_molds[1] == (4,)
 
     def test_zero_demand_is_valid(self):
         doc = dict(CWP000_DOC)

@@ -1,14 +1,13 @@
+import dataclasses
+import hashlib
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamforge.instance import generate_instance
-from beamforge.patterns import (
-    contains,
-    enumerate_packing_patterns,
-    generate_patterns,
-)
+from beamforge.patterns import PatternSet, enumerate_packing_patterns, generate_patterns
 
 from conftest import beam_type, make_instance
 
@@ -134,6 +133,11 @@ class TestOverlapGolden:
         assert generate_patterns(inst).overlapping == []
 
 
+def contains(p, q):
+    """True when p packs at least as many beams of every length of the same type."""
+    return p.beam_type == q.beam_type and all(a >= b for a, b in zip(p.counts, q.counts))
+
+
 class TestContains:
     def test_componentwise(self, cwp000_patterns):
         p3 = cwp000_patterns.packing[2]  # (10, 0)
@@ -161,8 +165,47 @@ class TestIdScheme:
         )
         first_overlap = pats.num_packing + pats.num_cutting + 1
         assert [p.id for p in pats.overlapping] == list(
-            range(first_overlap, first_overlap + pats.num_overlapping)
+            range(first_overlap, first_overlap + len(pats.overlapping))
         )
+
+    def test_pinned_enumeration(self, cwp000):
+        # Every pattern record, in id order, with maximal and with all
+        # packing patterns, on cwp000 and on 40 generated instances.
+        digest = hashlib.sha256()
+        instances = [cwp000] + [
+            generate_instance(seed, types, molds)
+            for types, molds in ((1, 5), (2, 15), (3, 15), (4, 30))
+            for seed in range(1, 11)
+        ]
+        for inst in instances:
+            for maximal in (True, False):
+                pats = generate_patterns(inst, maximal_only=maximal)
+                digest.update(repr((pats.packing, pats.cutting, pats.overlapping)).encode())
+        assert digest.hexdigest() == (
+            "1f79d8fbc59ce1d854b3fcb50f9a7e46813de3d680b94b8a2ecf0521fa14616c"
+        )
+
+    @pytest.mark.parametrize("family", ["packing", "cutting", "overlapping"])
+    def test_ids_out_of_order_are_rejected(self, cwp000_patterns, family):
+        # Renumber the family's second pattern past the end: every table is
+        # indexed by id, so the set must refuse it.
+        pats = cwp000_patterns
+        patterns = list(getattr(pats, family))
+        patterns[1] = dataclasses.replace(patterns[1], id=99)
+        fields = {
+            "packing": pats.packing, "cutting": pats.cutting, "overlapping": pats.overlapping,
+            family: patterns,
+        }
+        with pytest.raises(ValueError, match=f"pattern id 99 stands where id {patterns[0].id + 1}"):
+            PatternSet(**fields, keys=pats.keys, classes=pats.classes, kinds=pats.kinds)
+
+    def test_a_gap_in_the_ids_is_rejected(self, cwp000_patterns):
+        pats = cwp000_patterns
+        with pytest.raises(ValueError, match="pattern id 8 stands where id 7"):
+            PatternSet(
+                packing=pats.packing, cutting=pats.cutting[1:], overlapping=pats.overlapping,
+                keys=pats.keys, classes=pats.classes, kinds=pats.kinds,
+            )
 
     def test_two_runs_identical(self, cwp000):
         a = generate_patterns(cwp000)
@@ -313,4 +356,4 @@ def test_benchmark_scale_enumeration_is_quick():
     assert pats.num_packing > 100
     if inst.num_mold_classes == 2:
         assert pats.num_cutting == 10
-        assert pats.num_overlapping == 12
+        assert len(pats.overlapping) == 12
