@@ -89,28 +89,16 @@ class InfeasibilityReport:
     balance_mismatch: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     @property
-    def type1(self) -> bool:  # unmet beam demand
-        return bool(self.demand_shortfall)
-
-    @property
-    def type2(self) -> bool:  # bar stock exceeded
-        return bool(self.stock_excess)
-
-    @property
-    def type3(self) -> bool:  # produced bars != required bars
-        return bool(self.balance_mismatch)
-
-    @property
     def feasible(self) -> bool:
-        return not (self.type1 or self.type2 or self.type3)
+        return not (self.demand_shortfall or self.stock_excess or self.balance_mismatch)
 
     def summary(self) -> str:
         parts = []
-        if self.type1:
+        if self.demand_shortfall:
             parts.append(f"demand shortfall {self.demand_shortfall}")
-        if self.type2:
+        if self.stock_excess:
             parts.append(f"stock excess {self.stock_excess}")
-        if self.type3:
+        if self.balance_mismatch:
             parts.append(f"bar balance {self.balance_mismatch}")
         return "; ".join(parts) if parts else "feasible"
 

@@ -78,7 +78,9 @@ class GaParams:
     ) -> "GaParams":
         """Parameters scaled by the packing pattern count r: NG = ng_mult·r,
         RST = ⌈rst·NG⌉ and AS = as_mult·r.  The defaults are the tuned
-        configuration."""
+        configuration.  An instance with no packing pattern scales as r = 1,
+        so that `run` reaches its structural checks."""
+        num_packing = max(num_packing, 1)
         ng = ng_mult * num_packing
         if not (rst >= 0 and math.isfinite(rst * ng)):
             raise ValueError(f"restart fraction {rst!r} must be >= 0 and finite times NG = {ng}")

@@ -8,7 +8,10 @@ hold marker and the mold's admitted patterns), then z by period, then the
 producers, cuts before splices.  `IlpModel.names` gives each column's name.
 Constraint rows come in blocks of one group and sense, each holding the
 integer coefficients and column ids of all its rows in one flat pair of
-arrays; lengths appear solely in the objective, as meters.
+arrays; lengths appear solely in the objective, as meters.  The demand,
+stock and bar-balance rows sum per tally slot what each pattern's
+`PatternSet.delta` adds.  An assignment is a column vector: one value per
+column, in column order.
 """
 
 from __future__ import annotations
@@ -111,16 +114,6 @@ class Violation:
 
 
 @dataclass
-class Assignment:
-    """Concrete values for every variable family of a model."""
-
-    x: dict[tuple[int, int, int], int]  # (pattern id or 0, mold, period)
-    z: dict[int, int]  # period -> 0/1
-    cuts: dict[int, int]  # cutting pattern id -> count
-    overlaps: dict[int, int]  # overlapping pattern id -> count
-
-
-@dataclass
 class IlpModel:
     inst: Instance
     pats: PatternSet
@@ -132,6 +125,10 @@ class IlpModel:
     @property
     def z_keys(self) -> list[int]:
         return list(range(1, self.inst.horizon + 1))
+
+    @property
+    def num_columns(self) -> int:
+        return len(self.x_keys) + self.inst.horizon + len(self.pats.producers)
 
     @property
     def rows(self) -> RowView:
@@ -197,6 +194,36 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
     producer_base = z_base + T
     col = _ints(range(producer_base + len(pats.producers)))
 
+    # Terms per tally slot, from each pattern's `delta`: producers in column
+    # order, then each mold's admitted patterns, whose beam slots count the
+    # starts that finish in time and whose required-bars slot every start,
+    # negated.
+    terms = [(_ints(), _ints()) for _ in pats.zero]
+    for j, p in enumerate(pats.producers, start=producer_base):
+        for s, coeff in pats.delta[p.id]:
+            terms[s][0].append(coeff)
+            terms[s][1].append(j)
+    for m in range(1, M + 1):
+        w = width[m]
+        for first, p in enumerate(admitted[m], start=base[m] + 1):
+            in_time = max(T - p.duration + 1, 0)
+            for s, coeff in pats.delta[p.id]:
+                n, coeff = (in_time, coeff) if s < pats.required_at else (T, -coeff)
+                if coeff:
+                    coeffs, cols = terms[s]
+                    coeffs += _repeat(coeff, n)
+                    cols += col[first : first + n * w : w]
+
+    def slot_rows(group: str, sense: str, rows) -> RowBlock:
+        """A block of rows (indices, rhs, *slots), each summing its slots' terms."""
+        block = RowBlock(group, sense)
+        for indices, rhs, *slots in rows:
+            for s in slots:
+                block.coeffs += terms[s][0]
+                block.cols += terms[s][1]
+            block.end_row(indices, rhs)
+        return block
+
     # One pattern (possibly the hold marker) per mold and period.
     for m in range(1, M + 1):
         b, n = base[m], T * width[m]
@@ -206,19 +233,7 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
             RowBlock("mold_slot", "<=", indices, [1] * T, _repeat(1, n), col[b : b + n], starts)
         )
     # Every demand covered by pattern starts that can finish in time.
-    block = RowBlock("demand", ">=")
-    for c, bt in enumerate(inst.beam_types, start=1):
-        for k, demand in enumerate(bt.demands, start=1):
-            for m in range(1, M + 1):
-                b, w = base[m], width[m]
-                for pos, pattern in enumerate(admitted[m], start=1):
-                    if pattern.beam_type != c or pattern.counts[k - 1] == 0:
-                        continue
-                    starts = max(T - pattern.duration + 1, 0)
-                    block.cols += col[b + pos : b + pos + starts * w : w]
-                    block.coeffs += _repeat(pattern.counts[k - 1], starts)
-            block.end_row((c, k), demand)
-    blocks.append(block)
+    blocks.append(slot_rows("demand", ">=", zip(pats.keys, inst.demand, range(pats.required_at))))
     # A started multi-period cast forces hold markers while it cures: row t
     # holds the start x_p_m_t, then the hold markers of periods t + 1 .. t + E - 1.
     for m in range(1, M + 1):
@@ -283,44 +298,17 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
         coeffs = (_repeat(1, w) + _repeat(-1, w)) * (T - 1)
         starts = range(0, len(cols) + 1, 2 * w)
         blocks.append(RowBlock("continuity", ">=", indices, [0] * (T - 1), coeffs, cols, starts))
-    # Producer terms of the stock and bar-balance rows, cuts before splices.
-    stock = {w: (_ints(), _ints()) for w in range(1, W + V + 1)}
-    balance = {g: (_ints(), _ints()) for g in range(1, inst.num_mold_classes + 1)}
-    for j, p in enumerate(pats.producers, start=producer_base):
-        for w, need in p.stock_use:
-            stock[w][0].append(need)
-            stock[w][1].append(j)
-        for g, count in enumerate(p.item_counts, start=1):
-            if count:
-                balance[g][0].append(count)
-                balance[g][1].append(j)
     # Stock per bar kind: leftover kinds (cut as a bar or spliced), then new bars.
     for group, kinds in (
         ("leftover_stock", range(W + 1, W + V + 1)),
         ("new_bar_stock", range(1, W + 1)),
     ):
-        block = RowBlock(group, "<=")
-        for w in kinds:
-            block.coeffs += stock[w][0]
-            block.cols += stock[w][1]
-            block.end_row((w,), inst.stock[w - 1])
-        blocks.append(block)
+        rows = (((w,), inst.stock[w - 1], pats.used_at + w - 1) for w in kinds)
+        blocks.append(slot_rows(group, "<=", rows))
     # Bars produced must equal bars the packed molds require.
-    block = RowBlock("bar_balance", "=")
-    for g in range(1, inst.num_mold_classes + 1):
-        block.coeffs += balance[g][0]
-        block.cols += balance[g][1]
-        for m in range(1, M + 1):
-            if inst.mold_classes[m - 1] != g:
-                continue
-            b, w = base[m], width[m]
-            for pos, pattern in enumerate(admitted[m], start=1):
-                if pattern.bars == 0:
-                    continue
-                block.cols += col[b + pos : b + pos + T * w : w]
-                block.coeffs += _repeat(-pattern.bars, T)
-        block.end_row((g,), 0)
-    blocks.append(block)
+    classes = range(1, inst.num_mold_classes + 1)
+    rows = (((g,), 0, pats.made_at + g - 1, pats.required_at + g - 1) for g in classes)
+    blocks.append(slot_rows("bar_balance", "=", rows))
 
     objective = [(inst.weights[0] * 1.0, z_base + t - 1) for t in model.z_keys]
     for j, p in enumerate(pats.producers, start=producer_base):
@@ -391,86 +379,70 @@ def emit_lp(model: IlpModel) -> str:
 # -- assignment construction and checking ------------------------------------
 
 
-def induced_assignment(model: IlpModel, ch: Chromosome, schedule: Schedule | None = None) -> Assignment:
-    """Assignment realizing a chromosome under the schedule decoder."""
+def induced_assignment(model: IlpModel, ch: Chromosome, schedule: Schedule | None = None) -> list[int]:
+    """The column vector realizing a chromosome under the schedule decoder:
+    x, then z, then producer counts, in the model's column order."""
     inst, pats = model.inst, model.pats
     if schedule is None:
         schedule = decode_schedule(ch, inst, pats)
-    x = {key: 0 for key in model.x_keys}
+    values = [0] * model.num_columns
+    base = 0  # the mold's first x column
     for m, starts in enumerate(schedule.assignments, start=1):
+        ids = [0, *model.admitted(m)]
+        width = len(ids)
         for pid, start in starts:
-            x[(pid, m, start)] = 1
+            values[base + (start - 1) * width + ids.index(pid)] = 1
             _, duration = pats.casts[pid]
-            for t in range(start + 1, start + duration):
-                x[(0, m, t)] = 1
-    z = {t: int(t <= schedule.makespan) for t in model.z_keys}
-    cuts = {p.id: 0 for p in pats.cutting}
-    overlaps = {p.id: 0 for p in pats.overlapping}
+            for t in range(start, start + duration - 1):
+                values[base + t * width] = 1  # hold marker of period t + 1
+        base += inst.horizon * width
+    values[base : base + schedule.makespan] = [1] * schedule.makespan
+    offset = base + inst.horizon - pats.num_packing - 1  # a producer's column less its id
     for pid, freq in ch.genes:
-        if pid in cuts:
-            cuts[pid] += freq
-        elif pid in overlaps:
-            overlaps[pid] += freq
-    return Assignment(x=x, z=z, cuts=cuts, overlaps=overlaps)
+        if pid > pats.num_packing:
+            values[offset + pid] += freq
+    return values
 
 
-def assignment_objective(model: IlpModel, a: Assignment) -> float:
-    """Float objective of an assignment, by the rule that scores chromosomes."""
-    active = sum(a.z[t] for t in model.z_keys)
-    uses = [(p.id, a.cuts[p.id]) for p in model.pats.cutting]
-    uses += [(p.id, a.overlaps[p.id]) for p in model.pats.overlapping]
+def assignment_objective(model: IlpModel, values: list[int]) -> float:
+    """Float objective of a column vector, by the rule that scores chromosomes."""
+    z_base = len(model.x_keys)
+    producer_base = z_base + model.inst.horizon
+    active = sum(values[z_base:producer_base])
+    uses = zip(range(model.pats.num_packing + 1, model.pats.total + 1), values[producer_base:])
     return weighted_objective(model.inst.weights, active, *waste_cm(uses, model.pats))[0]
 
 
 _HOLDS = {"<=": le, ">=": ge, "=": eq}
 
 
-def check_assignment(model: IlpModel, a: Assignment) -> list[Violation]:
-    """Evaluate every row and domain; empty list means feasible."""
-    # Equal sizes and every model key present mean equal key sets.
-    if len(a.x) != len(model.x_keys):
-        raise DimensionMismatchError("x keys do not match the model")
-    try:
-        values = list(map(a.x.__getitem__, model.x_keys))  # column order
-    except KeyError:
-        raise DimensionMismatchError("x keys do not match the model") from None
-    if a.z.keys() != set(model.z_keys):
-        raise DimensionMismatchError("z keys do not match the model")
-    if a.cuts.keys() != {p.id for p in model.pats.cutting}:
-        raise DimensionMismatchError("cutting keys do not match the model")
-    if a.overlaps.keys() != {p.id for p in model.pats.overlapping}:
-        raise DimensionMismatchError("overlapping keys do not match the model")
+def check_assignment(model: IlpModel, values: list[int]) -> list[Violation]:
+    """Evaluate every domain and row of a column vector; empty list means feasible."""
+    if len(values) != model.num_columns:
+        raise DimensionMismatchError(
+            f"the assignment has {len(values)} values, the model {model.num_columns} columns"
+        )
+    pats = model.pats
+    z_base = len(model.x_keys)
+    producer_base = z_base + model.inst.horizon
 
     violations: list[Violation] = []
-    for key, value in a.x.items():
+    for key, value in zip(model.x_keys, values):
         if value not in (0, 1):
             detail = f"{_xname(*key)} must be binary, got {value}"
             violations.append(Violation("domain", key, detail))
         elif value and key in model.fixed_zero:
             detail = f"{_xname(*key)} is fixed to 0 (cannot finish in the horizon)"
             violations.append(Violation("domain", key, detail))
-    for t, value in a.z.items():
+    for t, value in zip(model.z_keys, values[z_base:producer_base]):
         if value not in (0, 1):
             violations.append(Violation("domain", (t,), f"z_{t} must be binary, got {value}"))
-    for p in model.pats.cutting:
-        value = a.cuts[p.id]
+    for pid, value in enumerate(values[producer_base:], start=pats.num_packing + 1):
         if not isinstance(value, int) or value < 0:
-            violations.append(
-                Violation("domain", (p.id,), f"cut count must be a nonnegative integer, got {value}")
-            )
-    for p in model.pats.overlapping:
-        value = a.overlaps[p.id]
-        if not isinstance(value, int) or value < 0:
-            violations.append(
-                Violation(
-                    "domain", (p.id,), f"overlap count must be a nonnegative integer, got {value}"
-                )
-            )
+            family = "cut" if pid < pats.first_splice else "overlap"
+            detail = f"{family} count must be a nonnegative integer, got {value}"
+            violations.append(Violation("domain", (pid,), detail))
 
-    # Values in column order: x, z, then cuts before splices.
-    values += map(a.z.__getitem__, model.z_keys)
-    values += (a.cuts[p.id] for p in model.pats.cutting)
-    values += (a.overlaps[p.id] for p in model.pats.overlapping)
     value_of = values.__getitem__
     for block in model.blocks:
         products = list(map(mul, block.coeffs, map(value_of, block.cols)))

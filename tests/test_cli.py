@@ -123,6 +123,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "beamforge: beam type 1: length 13.0 m fits in no mold\n"
 
+    @staticmethod
+    def no_packing_pattern(tmp_path, demand):
+        """cwp000 with one 12.5 m length, which fits in no mold."""
+        doc = dict(CWP000_DOC)
+        doc["beam_types"] = [dict(doc["beam_types"][0], lengths=[12.5], demands=[demand])]
+        path = tmp_path / "unpackable.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_solve_without_packing_patterns_is_code_two(self, tmp_path, capsys):
+        assert dispatch(["solve", "--instance", self.no_packing_pattern(tmp_path, 3)]) == 2
+        err = capsys.readouterr().err
+        assert err == "beamforge: beam type 1: length 12.5 m fits in no mold\n"
+
+    def test_solve_without_packing_patterns_or_demand_plans_nothing(self, tmp_path):
+        out = tmp_path / "plan.json"
+        argv = ["solve", "--instance", self.no_packing_pattern(tmp_path, 0), "--out", str(out)]
+        assert dispatch(argv) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["genes"], doc["objective"]) == ([], 0.0)
+
     @pytest.mark.parametrize("command", ["bound", "solve"])
     def test_stock_shorter_than_the_demand_is_code_two(self, tmp_path, capsys, command):
         # 5 x 1.12 m + 10 x 3.3 m of beams need 38.6 m of bar; 3 new 12 m bars

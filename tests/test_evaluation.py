@@ -335,7 +335,7 @@ class TestFitness:
         genes = cwp000_optimal_genes(cwp000_patterns)[:1]
         with pytest.raises(InfeasibleChromosomeError) as err:
             evaluate(Chromosome(genes), cwp000, cwp000_patterns)
-        assert err.value.report.type1
+        assert err.value.report.demand_shortfall
 
     def test_gene_order_does_not_change_waste(self, cwp000, cwp000_patterns):
         genes = cwp000_optimal_genes(cwp000_patterns)
@@ -361,17 +361,15 @@ class TestClassify:
         genes = [g for g in cwp000_optimal_genes(cwp000_patterns)
                  if g != (find_packing(cwp000_patterns, 1, (1, 3)).id, 2)]
         report = classify_infeasibility(Chromosome(genes), cwp000, cwp000_patterns)
-        assert report.type1  # the 3.3 m demand is short
-        assert report.type3  # long bars are overproduced
-        assert not report.type2
-        assert report.balance_mismatch == {2: (2, 0)}
+        assert report.demand_shortfall  # the 3.3 m demand is short
+        assert report.stock_excess == {}
+        assert report.balance_mismatch == {2: (2, 0)}  # long bars are overproduced
 
     def test_stock_blowout(self, cwp000, cwp000_patterns):
         genes = cwp000_optimal_genes(cwp000_patterns)
         reuse = find_cutting(cwp000_patterns, 4, (1, 0), (0, 0, 0, 0)).id
         genes = [(pid, 99 if pid == reuse else freq) for pid, freq in genes]
         report = classify_infeasibility(Chromosome(genes), cwp000, cwp000_patterns)
-        assert report.type2
         assert report.stock_excess == {4: 99 - 25}
 
     def test_unknown_id(self, cwp000, cwp000_patterns):
@@ -398,9 +396,9 @@ class TestTally:
             freqs[pid] += delta
             report = tally.report()
             assert (tally.short(), tally.over(), tally.unbalanced()) == (
-                report.type1,
-                report.type2,
-                report.type3,
+                bool(report.demand_shortfall),
+                bool(report.stock_excess),
+                bool(report.balance_mismatch),
             )
         fresh = Tally(inst, pats, [(pid, f) for pid, f in freqs.items() if f > 0])
         assert tally.counts == fresh.counts

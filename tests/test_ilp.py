@@ -6,10 +6,15 @@ from fractions import Fraction
 import pytest
 
 from beamforge.errors import HorizonError
-from beamforge.evaluation import Chromosome, decode_schedule, evaluate, exhaustive_optimum
+from beamforge.evaluation import (
+    Chromosome,
+    Tally,
+    decode_schedule,
+    evaluate,
+    exhaustive_optimum,
+)
 from beamforge.ga import random_solution
 from beamforge.ilp import (
-    Assignment,
     _producer_name,
     _xname,
     assignment_objective,
@@ -247,7 +252,7 @@ class TestCheckAssignment:
         model = build_model(cwp000, cwp000_patterns)
         ch = Chromosome(cwp000_optimal_genes(cwp000_patterns))
         assignment = induced_assignment(model, ch)
-        assignment.x[(1, 1, 1)] = 1  # second pattern in an occupied slot
+        assignment[model.x_keys.index((1, 1, 1))] = 1  # second pattern in an occupied slot
         groups = {v.group for v in check_assignment(model, assignment)}
         assert "mold_slot" in groups
 
@@ -255,8 +260,8 @@ class TestCheckAssignment:
         model = build_model(cwp000, cwp000_patterns)
         ch = Chromosome(cwp000_optimal_genes(cwp000_patterns))
         assignment = induced_assignment(model, ch)
-        reuse_id = next(p.id for p in cwp000_patterns.cutting if p.source_bar == 4)
-        assignment.cuts[reuse_id] += 100
+        reuse = next(p for p in cwp000_patterns.cutting if p.source_bar == 4)
+        assignment[model.names.index(_producer_name(reuse))] += 100
         groups = {v.group for v in check_assignment(model, assignment)}
         assert "leftover_stock" in groups
 
@@ -265,13 +270,11 @@ class TestCheckAssignment:
 
         model = build_model(cwp000, cwp000_patterns)
         with pytest.raises(DimensionMismatchError):
-            check_assignment(model, Assignment(x={}, z={}, cuts={}, overlaps={}))
-        # As many x keys as the model has, one of them foreign.
+            check_assignment(model, [])
+        # One value short of the model's columns.
         assignment = induced_assignment(model, Chromosome(cwp000_optimal_genes(cwp000_patterns)))
-        del assignment.x[model.x_keys[-1]]
-        assignment.x[(99, 1, 1)] = 0
         with pytest.raises(DimensionMismatchError):
-            check_assignment(model, assignment)
+            check_assignment(model, assignment[:-1])
 
     def test_random_feasible_chromosomes_pass(self, cwp000, cwp000_patterns):
         # Any feasible chromosome induces a feasible assignment whose model
@@ -308,10 +311,49 @@ class TestCheckAssignment:
         assignment = induced_assignment(model, ch, schedule)
         assert check_assignment(model, assignment) == []
         # Drop a hold marker: the curing linkage must flag it.
-        start = next(t for (i, m, t), v in assignment.x.items() if v and i == 1)
-        assignment.x[(0, 1, start + 1)] = 0
+        start = next(t for (i, m, t), v in zip(model.x_keys, assignment) if v and i == 1)
+        assignment[model.x_keys.index((0, 1, start + 1))] = 0
         groups = {v.group for v in check_assignment(model, assignment)}
         assert "curing_hold" in groups
+
+
+class TestTallyAgreement:
+    """The demand, stock and bar-balance rows hold exactly where the tally
+    does, on infeasible plans too."""
+
+    @pytest.mark.parametrize("which", ["cwp000", "generated"])
+    def test_rows_name_the_keys_the_tally_reports(self, which, cwp000, cwp000_patterns):
+        if which == "cwp000":
+            inst, pats = cwp000, cwp000_patterns
+        else:
+            inst = generate_instance(7, 2, 15)
+            pats = generate_patterns(inst)
+        model = build_model(inst, pats)
+        producer_ids = range(pats.num_packing + 1, pats.total + 1)
+        rng = random.Random(3)
+        checked, seen = 0, set()
+        while checked < 60:
+            packing = rng.sample(range(1, pats.num_packing + 1), rng.randint(1, 4))
+            producers = rng.sample(producer_ids, rng.randint(0, 6))
+            genes = [(pid, rng.randint(1, 3)) for pid in packing]
+            genes += [(pid, rng.randint(1, 30)) for pid in producers]
+            rng.shuffle(genes)
+            ch = Chromosome(genes)
+            try:
+                values = induced_assignment(model, ch)
+            except HorizonError:
+                continue
+            # A decoded plan keeps every scheduling row: only these fail.
+            named = {"demand": set(), "stock": set(), "bar_balance": set()}
+            for v in check_assignment(model, values):
+                named["stock" if v.group.endswith("_stock") else v.group].add(v.indices)
+            report = Tally(inst, pats, genes).report()
+            assert named["demand"] == set(report.demand_shortfall)
+            assert named["stock"] == {(w,) for w in report.stock_excess}
+            assert named["bar_balance"] == {(g,) for g in report.balance_mismatch}
+            seen.update(group for group, keys in named.items() if keys)
+            checked += 1
+        assert seen == {"demand", "stock", "bar_balance"}
 
 
 class TestDistinctWeights:
@@ -360,12 +402,8 @@ class TestDistinctWeights:
         assignment = induced_assignment(model, ch)
         assert check_assignment(model, assignment) == []
         assert assignment_objective(model, assignment) == value
-        values = [assignment.x[key] for key in model.x_keys]
-        values += [assignment.z[t] for t in model.z_keys]
-        values += [assignment.cuts[p.id] for p in pats.cutting]
-        values += [assignment.overlaps[p.id] for p in pats.overlapping]
-        assert len(values) == len(model.names)
-        assert sum(coeff * values[j] for coeff, j in model.objective) == value
+        assert len(assignment) == len(model.names)
+        assert sum(coeff * assignment[j] for coeff, j in model.objective) == value
 
     def test_oracle_value(self, weighted):
         # 1.5 * 2 + 0.7 * 0.30: two periods and 30 cm of new-bar waste.
@@ -445,7 +483,10 @@ class TestPinnedBytes:
         reports = []
         for inst, pats in cases[:3]:
             model = build_model(inst, pats)
+            column = {key: j for j, key in enumerate(model.x_keys)}
             fixed = sorted(model.fixed_zero)
+            nx, T = len(model.x_keys), inst.horizon
+            cuts = range(nx + T, nx + T + len(pats.cutting))
             rng = random.Random(5)
             rounds = 0
             while rounds < 40:
@@ -456,16 +497,16 @@ class TestPinnedBytes:
                     a = induced_assignment(model, ch)
                 except HorizonError:
                     continue
-                for key in rng.sample(model.x_keys, rng.randint(0, 3)):
-                    a.x[key] = 1 - a.x[key]
+                for j in rng.sample(range(nx), rng.randint(0, 3)):
+                    a[j] = 1 - a[j]
                 if rng.random() < 0.3:
-                    a.z[rng.choice(model.z_keys)] = 2
+                    a[rng.choice(range(nx, nx + T))] = 2
                 if rng.random() < 0.3:
-                    a.cuts[rng.choice(sorted(a.cuts))] = -rng.randint(1, 3)
+                    a[rng.choice(cuts)] = -rng.randint(1, 3)
                 if rng.random() < 0.2:
-                    a.cuts[rng.choice(sorted(a.cuts))] += 100
+                    a[rng.choice(cuts)] += 100
                 if fixed and rng.random() < 0.5:
-                    a.x[rng.choice(fixed)] = 1
+                    a[column[rng.choice(fixed)]] = 1
                 reports.append([str(v) for v in check_assignment(model, a)])
                 rounds += 1
         assert sum(map(len, reports)) > 100

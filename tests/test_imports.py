@@ -1,7 +1,8 @@
 """The core is stdlib-only: every import a module runs when it is loaded
 names a standard-library module or beamforge itself.  Imports inside a
 function body run only when it is called, which is how optional
-dependencies are loaded, so they are not checked."""
+dependencies are loaded, so they are not checked.  Every name a load-time
+import binds is read in its module, so a deletion leaves no stale import."""
 
 import ast
 import pathlib
@@ -14,21 +15,32 @@ import beamforge
 MODULES = sorted(pathlib.Path(beamforge.__file__).parent.glob("*.py"))
 
 
-def load_time_imports(tree):
-    """(line, top-level module name) of every import outside a function body;
-    a relative import is beamforge's own."""
+def import_nodes(tree):
+    """Every import statement outside a function body."""
     stack = list(tree.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def load_time_imports(tree):
+    """(line, top-level module name) of every import outside a function body;
+    a relative import is beamforge's own."""
+    for node in import_nodes(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            yield node.lineno, "beamforge" if node.level else node.module.split(".")[0]
         else:
-            stack.extend(ast.iter_child_nodes(node))
+            yield node.lineno, "beamforge" if node.level else node.module.split(".")[0]
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def test_every_module_is_checked():
@@ -37,10 +49,27 @@ def test_every_module_is_checked():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_stdlib_or_beamforge(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = parse(path)
     outside = [
         (line, name)
         for line, name in load_time_imports(tree)
         if name != "beamforge" and name not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_load_time_import_is_read(path):
+    tree = parse(path)
+    bound = [
+        (node.lineno, alias.asname or alias.name.split(".")[0])
+        for node in import_nodes(tree)
+        if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert [(line, name) for line, name in bound if name not in read] == []
