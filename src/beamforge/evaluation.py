@@ -175,11 +175,17 @@ class Tally:
 
     def room(self, pid: int) -> int:
         """Most uses of a cut or splice that overshoot no class's required
-        bars and no stock kind (0 when one is already over)."""
+        bars and no stock kind (0 when one is already over): a used slot is
+        held to its kind's stock, a made slot to its class's required slot."""
         pats, counts, stock = self.pats, self.counts, self.stock
-        limits = [(counts[r] - counts[m]) // n for r, m, n in pats.bar_room[pid]]
-        limits += [(stock[w] - counts[u]) // n for w, u, n in pats.stock_room[pid]]
-        return max(0, min(limits))
+        used_at, classes = pats.used_at, pats.classes
+        most = None
+        for s, n in pats.delta[pid]:
+            cap = stock[s - used_at] if s >= used_at else counts[s - classes]
+            limit = (cap - counts[s]) // n
+            if most is None or limit < most:
+                most = limit
+        return max(0, most)
 
     def report(self) -> InfeasibilityReport:
         pats, counts = self.pats, self.counts

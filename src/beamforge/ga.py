@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import HorizonError, InfeasibleInstanceError
@@ -196,10 +196,12 @@ def _supply_bars(genes, tally, rng) -> Chromosome | None:
     if still short, random splices, each used as often as it has room."""
     pats, counts = tally.pats, tally.counts
     chosen: set[int] = set()
-    for g, pools in enumerate(pats.pools):
+    for g in range(pats.classes):
         needed, made = pats.required_at + g, pats.made_at + g
-        for pool in pools:
-            candidates = [pid for pid in pool if pid not in chosen]
+        # The producers that make class g, in id order: cuts, then splices.
+        ids = [pid for pid in pats.column[made] if pid not in chosen]
+        split = bisect_left(ids, pats.first_splice)
+        for candidates in (ids[:split], ids[split:]):
             while counts[made] < counts[needed] and candidates:
                 pid = candidates.pop(rng.randrange(len(candidates)))
                 chosen.add(pid)
@@ -231,13 +233,13 @@ def _trim_packing_surplus(genes, tally):
     """Lower each packing gene, in order, to the least frequency that keeps
     the demand covered given every other gene: by the whole uses that every
     length it packs has to spare."""
-    counts, demand, packs = tally.counts, tally.demand, tally.pats.packs
+    counts, demand, pats = tally.counts, tally.demand, tally.pats
+    draws, num_packing = pats.draws, pats.num_packing
     for i, (pid, freq) in enumerate(genes):
-        lengths = packs[pid]
-        if not lengths or freq == 0:
+        if pid > num_packing or freq == 0:
             continue
         spare = freq
-        for s, count in lengths.items():
+        for s, count in draws[pid - 1].packs:
             uses = (counts[s] - demand[s]) // count
             if uses < spare:
                 spare = uses
@@ -254,13 +256,14 @@ def _fix_demand(genes, tally):
     settles every covered length.  Returns False at the first short length
     that no gene covers.
     """
-    counts, packs = tally.counts, tally.pats.packs
+    counts, column = tally.counts, tally.pats.column
     for s, demand in enumerate(tally.demand):
         missing = demand - counts[s]
         if missing <= 0:
             continue
+        packers = column[s]
         for i, (pid, freq) in enumerate(genes):
-            count = packs[pid].get(s)
+            count = packers.get(pid)
             if count:
                 _set_frequency(genes, tally, i, pid, freq + -(-missing // count))
                 break
@@ -269,28 +272,31 @@ def _fix_demand(genes, tally):
     return True
 
 
-def _producer_genes(genes, takes, first_splice):
-    """Indices of the genes whose pattern is a key of `takes`: cuts first,
-    then splices, each in gene order."""
+def _lower(genes, tally, takes, slot, limit):
+    """Lower the genes whose pattern is a key of `takes` ({id: coefficient
+    at `slot`}), cuts before splices, each in gene order, by the fewest
+    whole uses that bring the slot down to `limit`.  Returns the indices of
+    those genes in that order."""
+    counts, first_splice = tally.counts, tally.pats.first_splice
     found = [i for i, (pid, _) in enumerate(genes) if pid in takes]
     found.sort(key=lambda i: genes[i][0] >= first_splice)
+    for i in found:
+        excess = counts[slot] - limit
+        if excess <= 0:
+            break
+        pid, freq = genes[i]
+        _set_frequency(genes, tally, i, pid, freq - min(freq, -(-excess // takes[pid])))
     return found
 
 
 def _fix_stock(genes, tally):
-    """Lower the genes that draw each overrun kind, cuts before splices, by
-    the fewest whole uses that clear the excess, until the stock holds."""
+    """Lower the genes that draw each overrun kind (`_lower`) until the
+    stock holds."""
     pats, counts = tally.pats, tally.counts
-    for w, (stock, drawers) in enumerate(zip(tally.stock, pats.drawers)):
+    for w, stock in enumerate(tally.stock):
         used = pats.used_at + w
-        if counts[used] <= stock:
-            continue
-        for i in _producer_genes(genes, drawers, pats.first_splice):
-            excess = counts[used] - stock
-            if excess <= 0:
-                break
-            pid, freq = genes[i]
-            _set_frequency(genes, tally, i, pid, freq - min(freq, -(-excess // drawers[pid])))
+        if counts[used] > stock:
+            _lower(genes, tally, pats.column[used], used, stock)
 
 
 def _fix_balance(genes, tally):
@@ -305,13 +311,7 @@ def _fix_balance(genes, tally):
         made, required = pats.made_at + g, counts[pats.required_at + g]
         if counts[made] == required:
             continue
-        candidates = _producer_genes(genes, makers, pats.first_splice)
-        for i in candidates:
-            over = counts[made] - required
-            if over <= 0:
-                break
-            pid, freq = genes[i]
-            _set_frequency(genes, tally, i, pid, freq - min(freq, -(-over // makers[pid])))
+        candidates = _lower(genes, tally, makers, made, required)
         for i in candidates:
             if counts[made] >= required:
                 break
@@ -548,8 +548,11 @@ def run(inst: Instance, pats: PatternSet, params: GaParams) -> GaResult:
                 rng,
             )
             rejected += extra
-            pop.members, pop.fitnesses = members, fitnesses
-            keys = pop.keys()
+            # A restart without elites may draw no feasible plan: keep the
+            # population it would have replaced.
+            if members:
+                pop.members, pop.fitnesses = members, fitnesses
+                keys = pop.keys()
             stagnation = 0
             prev_best = pop.fitnesses[0]
     # Final polish: reorder genes of every member for a shorter makespan.

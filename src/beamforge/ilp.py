@@ -25,7 +25,6 @@ from operator import eq, ge, le, mul
 from .errors import DimensionMismatchError
 from .evaluation import (
     Chromosome,
-    Schedule,
     decode_schedule,
     waste_cm,
     weighted_objective,
@@ -379,12 +378,11 @@ def emit_lp(model: IlpModel) -> str:
 # -- assignment construction and checking ------------------------------------
 
 
-def induced_assignment(model: IlpModel, ch: Chromosome, schedule: Schedule | None = None) -> list[int]:
+def induced_assignment(model: IlpModel, ch: Chromosome) -> list[int]:
     """The column vector realizing a chromosome under the schedule decoder:
     x, then z, then producer counts, in the model's column order."""
     inst, pats = model.inst, model.pats
-    if schedule is None:
-        schedule = decode_schedule(ch, inst, pats)
+    schedule = decode_schedule(ch, inst, pats)
     values = [0] * model.num_columns
     base = 0  # the mold's first x column
     for m, starts in enumerate(schedule.assignments, start=1):

@@ -115,23 +115,19 @@ class PatternSet:
     order.  Per pattern id:
     - `delta`: the ((slot, coefficient), ...) one use adds; a dict, so an
       unknown id has no entry;
-    - `packs`: a packing pattern's {beam slot: count} of the lengths it
-      packs, {} for a producer;
     - `casts`: a packing pattern's (0-based mold class, curing time), None
       for a producer;
     - `wastes`: a producer's (waste bucket, waste cm), (0, 0) for a packing
-      pattern, whose waste no bucket takes;
-    - `bar_room` and `stock_room`: a producer's (required slot, made slot,
-      bars per use) and (bar kind, used slot, need per use) terms of
-      `Tally.room`, bar kinds 0-based.
-    The lists are indexed by id, entry 0 unused.  Per class and per bar kind
-    (0-based), `makers` and `drawers` give {id: bars or need per use} of the
-    producers that make that class alone and of those that draw that kind;
-    ids from `first_splice` on are splices.  For construction, `cover` is
-    per beam slot the mask of the packing patterns that pack it, bit i
-    standing for packing[i], `draws` per packing index its `DrawRecord`,
-    and `pools` per class the ids of the cuts and of the splices that make
-    it.
+      pattern, whose waste no bucket takes.
+    The lists are indexed by id, entry 0 unused.  `column` is the transpose
+    of `delta`: per tally slot, {id: coefficient} in id order, so a beam
+    slot's column holds the packing patterns that pack it, a used slot's the
+    producers that draw its kind and a made slot's the producers that make
+    its class; ids from `first_splice` on are splices.  Per class (0-based),
+    `makers` gives {id: bars per use} of the producers that make that class
+    alone.  For construction, `cover` is per beam slot the mask of the
+    packing patterns that pack it, bit i standing for packing[i], and
+    `draws` per packing index its `DrawRecord`.
     """
 
     packing: list[PackingPattern]
@@ -155,16 +151,10 @@ class PatternSet:
         self.zero = [0] * (used_at + self.kinds)
         size = len(self.packing) + len(producers) + 1
         self.delta = {}
-        self.packs = [{}] * size
         self.casts = [None] * size
         self.wastes = [(0, 0)] * size
-        self.bar_room = [()] * size
-        self.stock_room = [()] * size
         self.makers = [{} for _ in range(self.classes)]
-        self.drawers = [{} for _ in range(self.kinds)]
         self.first_splice = self.num_packing + self.num_cutting + 1
-        self.pools = [([], []) for _ in range(self.classes)]
-        self.cover = [0] * len(self.keys)
         slot = {key: s for s, key in enumerate(self.keys)}
         blocks: dict[tuple[int, int], int] = {}  # per (class, curing time)
         for p in self.packing:
@@ -176,33 +166,27 @@ class PatternSet:
                     if q.mold_class == p.mold_class and q.duration >= p.duration
                 )
         self.draws = []
-        for i, p in enumerate(self.packing):
-            packs = {slot[p.beam_type, k]: n for k, n in enumerate(p.counts, start=1) if n}
-            pairs = tuple(packs.items())
-            self.packs[p.id] = packs
+        for p in self.packing:
+            packs = tuple((slot[p.beam_type, k], n) for k, n in enumerate(p.counts, start=1) if n)
             self.casts[p.id] = (p.mold_class - 1, p.duration)
-            self.delta[p.id] = (*pairs, (required_at + p.mold_class - 1, p.bars))
-            for s in packs:
-                self.cover[s] |= 1 << i
+            self.delta[p.id] = (*packs, (required_at + p.mold_class - 1, p.bars))
             block = blocks[p.mold_class, p.duration]
-            self.draws.append(DrawRecord(p.id, p.mold_class - 1, p.duration, pairs, block))
+            self.draws.append(DrawRecord(p.id, p.mold_class - 1, p.duration, packs, block))
         for p in producers:
             made = [(g, n) for g, n in enumerate(p.item_counts) if n]  # 0-based classes
-            used = [(w - 1, need) for w, need in p.stock_use]  # 0-based kinds
             self.delta[p.id] = (
-                *((used_at + w, need) for w, need in used),
+                *((used_at + w - 1, need) for w, need in p.stock_use),
                 *((made_at + g, n) for g, n in made),
             )
             self.wastes[p.id] = (p.bucket, p.waste)
-            self.bar_room[p.id] = tuple((required_at + g, made_at + g, n) for g, n in made)
-            self.stock_room[p.id] = tuple((w, used_at + w, need) for w, need in used)
             if len(made) == 1:
                 g, n = made[0]
                 self.makers[g][p.id] = n
-            for w, need in used:
-                self.drawers[w][p.id] = need
-            for g, _ in made:
-                self.pools[g][0 if p.id < self.first_splice else 1].append(p.id)
+        self.column = [{} for _ in self.zero]
+        for pid, pairs in self.delta.items():
+            for s, coefficient in pairs:
+                self.column[s][pid] = coefficient
+        self.cover = [sum(1 << (pid - 1) for pid in c) for c in self.column[:required_at]]
 
     def check_shape(self, inst: Instance) -> None:
         """Raise unless `inst` has this set's demand slots, mold classes and
@@ -338,10 +322,7 @@ def _fewest_bars(inst: Instance, pats: PatternSet) -> int:
     """The fewest mold-length bars any plan needs: per beam type, its bars
     per cast times the casts its most demanding length takes when every cast
     packs as many beams of that length as one pattern can."""
-    richest = [0] * len(inst.demand)  # per beam slot
-    for p in pats.packing:
-        for s, n in pats.packs[p.id].items():
-            richest[s] = max(richest[s], n)
+    richest = [max(column.values(), default=0) for column in pats.column[: pats.required_at]]
     casts: dict[int, int] = {}  # per beam type
     for (c, _), d, n in zip(inst.demand_keys, inst.demand, richest):
         if d:

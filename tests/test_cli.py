@@ -602,6 +602,16 @@ class TestSolve:
         digest = "a2f1725715767f22c77355543997cb51d311fc0541ae88132fe2c249e543df43"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_restart_that_draws_nothing(self, tmp_path):
+        # With no elites and one draw per packing pattern, a restart on this
+        # instance draws no feasible plan: the solve keeps its population.
+        path, out = str(tmp_path / "g.json"), str(tmp_path / "plan.json")
+        assert dispatch(["gen", "--seed", "7", "--types", "1", "--molds", "5", "--out", path]) == 0
+        argv = ["solve", "--instance", path, "--ter", "0", "--rst", "0", "--ng-mult", "1",
+                "--as-mult", "1", "--seed", "1", "--out", out]
+        assert dispatch(argv) == 0
+        assert json.loads(open(out).read())["genes"]
+
     @staticmethod
     def solve_stdout(tmp_path, capsys, generated, *flags):
         path = tmp_path / "generated.json"

@@ -44,6 +44,19 @@ from conftest import (
 )
 
 
+def multi_class_instance():
+    """Molds of 8.0 and 12.5 m and one 23.3 m bar kind, so one cut can make
+    bars of both classes."""
+    return make_instance(
+        beam_types=[beam_type([688, 749], [3, 2])],
+        mold_lengths=[800, 1250],
+        horizon=6,
+        bar_lengths=(2330,),
+        num_bar_kinds=1,
+        stock=(8,),
+    )
+
+
 class FakeRng:
     """Scripted random() values for coin-flip tests."""
 
@@ -107,16 +120,9 @@ class TestConstruction:
         assert decode_schedule(ch, inst, pats).makespan == 3
 
     def test_multi_class_cuts_selected_once(self):
-        # A bar spanning both mold lengths shows up in both class pools; it
-        # must still end up as at most one gene.
-        inst = make_instance(
-            beam_types=[beam_type([688, 749], [3, 2])],
-            mold_lengths=[800, 1250],
-            horizon=6,
-            bar_lengths=(2330,),
-            num_bar_kinds=1,
-            stock=(8,),
-        )
+        # A bar spanning both mold lengths shows up in both made-slot
+        # columns; it must still end up as at most one gene.
+        inst = multi_class_instance()
         pats = generate_patterns(inst)
         rng = random.Random(0)
         produced = 0
@@ -163,6 +169,14 @@ class TestConstruction:
             batches.append(([None if ch is None else ch.genes for ch in plans], rng.getstate()))
         digest = hashlib.sha256(repr(batches).encode()).hexdigest()
         assert digest == "03ef6290072c7e32482c855cd51e7fa1580cc6526b56d66f18caa07b9a114d6e"
+        # One cut of the only bar makes bars of both classes.
+        inst = multi_class_instance()
+        pats = generate_patterns(inst)
+        rng = random.Random(3)
+        plans = [random_solution(inst, pats, rng) for _ in range(2000)]
+        batch = ([None if ch is None else ch.genes for ch in plans], rng.getstate())
+        digest = hashlib.sha256(repr([batch]).encode()).hexdigest()
+        assert digest == "fc7eec71c9d9d910a71ebace779a6189ebc475530be15b54cd9327f4c61e2d99"
 
 
     def test_every_construction_scores(self, instance_pair):
@@ -233,7 +247,7 @@ def pop_and_skip_solution(inst, pats, rng):
         if not unpicked:
             return None
         pattern = unpicked.pop(rng.randrange(len(unpicked)))
-        lengths = pats.packs[pattern.id]
+        lengths = dict(pats.draws[pattern.id - 1].packs)
         g = pattern.mold_class - 1
         if short.isdisjoint(lengths) or pattern.duration >= blocked[g]:
             continue
@@ -363,15 +377,18 @@ class TestRepair:
         [
             ("cwp000", "4e63765d403611ab58011534d712ef0cb41128c85149b2527e6064ea625e6bb4"),
             ("two-class", "22867fb6c81cafc098b2dc18711643e683c18a74747c69e4efc506f855d34763"),
+            ("multi-class", "1eb8ad2b412fa93b988262a1d504a97d40069d78466d3e1a91233b75b7a5e2b1"),
         ],
-        ids=["cwp000", "two-class"],
+        ids=["cwp000", "two-class", "multi-class"],
     )
     def test_pinned_repair_bytes(self, cwp000, cwp000_patterns, which, digest):
-        # 300 rounds on each instance reach every line of the three fixers.
+        # 300 rounds on each instance reach every line of the three fixers;
+        # on the multi-class instance a repaired plan may keep a cut that
+        # makes bars of both classes.
         if which == "cwp000":
             inst, pats = cwp000, cwp000_patterns
         else:
-            inst = generate_instance(7, 2, 15)
+            inst = generate_instance(7, 2, 15) if which == "two-class" else multi_class_instance()
             pats = generate_patterns(inst)
         results = repair_batch(inst, pats, random.Random(5), 300)
         assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
@@ -581,6 +598,26 @@ class TestRun:
         result = run(cwp000, cwp000_patterns, params)
         bests = [s.best_fitness for s in result.trace]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bests, bests[1:]))
+
+    def test_restart_that_draws_nothing_keeps_the_population(self, monkeypatch):
+        # With no elites and one draw per packing pattern, some restarts on
+        # this instance draw no feasible plan; their rejections still count.
+        draws = []
+
+        def recorded(*args):
+            drawn = draw_population(*args)
+            draws.append((len(drawn[0]), drawn[2]))
+            return drawn
+
+        draw_population = ga._draw_population
+        monkeypatch.setattr(ga, "_draw_population", recorded)
+        inst = generate_instance(7, 1, 5)
+        pats = generate_patterns(inst)
+        params = GaParams.scaled(pats.num_packing, seed=1, ng_mult=1, rst=0, as_mult=1, ter=0)
+        result = run(inst, pats, params)
+        assert any(members == 0 for members, _ in draws[1:])
+        assert result.rejected_constructions == sum(rejected for _, rejected in draws)
+        assert classify_infeasibility(result.chromosome, inst, pats).feasible
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

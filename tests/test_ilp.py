@@ -9,7 +9,6 @@ from beamforge.errors import HorizonError
 from beamforge.evaluation import (
     Chromosome,
     Tally,
-    decode_schedule,
     evaluate,
     exhaustive_optimum,
 )
@@ -290,8 +289,7 @@ class TestCheckAssignment:
             ch = random_solution(cwp000, cwp000_patterns, rng)
             if ch is None:
                 continue
-            schedule = decode_schedule(ch, cwp000, cwp000_patterns)
-            assignment = induced_assignment(model, ch, schedule)
+            assignment = induced_assignment(model, ch)
             assert check_assignment(model, assignment) == []
             assert assignment_objective(model, assignment) == evaluate(
                 ch, cwp000, cwp000_patterns
@@ -307,8 +305,7 @@ class TestCheckAssignment:
         # Two casts back to back, two bars from single-item cuts.
         cut = next(p for p in pats.cutting if p.item_counts == (1,) and p.leftover_kind is None)
         ch = Chromosome([(1, 2), (cut.id, 2)])
-        schedule = decode_schedule(ch, inst, pats)
-        assignment = induced_assignment(model, ch, schedule)
+        assignment = induced_assignment(model, ch)
         assert check_assignment(model, assignment) == []
         # Drop a hold marker: the curing linkage must flag it.
         start = next(t for (i, m, t), v in zip(model.x_keys, assignment) if v and i == 1)

@@ -1,11 +1,14 @@
+import ast
 import dataclasses
 import hashlib
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beamforge
 from beamforge.instance import generate_instance
 from beamforge.patterns import PatternSet, enumerate_packing_patterns, generate_patterns
 
@@ -237,12 +240,74 @@ class TestDrawIndex:
             for p, draw in zip(pats.packing, pats.draws):
                 assert draw.id == p.id
                 assert (draw.mold_class, draw.duration) == (p.mold_class - 1, p.duration)
-                assert draw.packs == tuple(pats.packs[p.id].items())
+                assert draw.packs == tuple(
+                    (pats.keys.index((p.beam_type, k)), n)
+                    for k, n in enumerate(p.counts, start=1)
+                    if n
+                )
                 assert bits(draw.blocks) == {
                     i
                     for i, q in enumerate(pats.packing)
                     if q.mold_class == p.mold_class and q.duration >= p.duration
                 }
+
+    def test_column_is_the_transpose_of_delta(self, cwp000_patterns):
+        for pats in (cwp000_patterns, generate_patterns(generate_instance(7, 2, 15))):
+            assert len(pats.column) == len(pats.zero)
+            entries = sorted(
+                (s, pid, coefficient)
+                for pid, pairs in pats.delta.items()
+                for s, coefficient in pairs
+            )
+            assert entries == [
+                (s, pid, coefficient)
+                for s, column in enumerate(pats.column)
+                for pid, coefficient in column.items()
+            ]
+            # makers[g] is the part of class g's made column whose producers
+            # make no other class.
+            made = pats.column[pats.made_at : pats.used_at]
+            for g, makers in enumerate(pats.makers):
+                assert makers == {
+                    pid: n
+                    for pid, n in made[g].items()
+                    if sum(pid in column for column in made) == 1
+                }
+
+
+def test_every_pattern_table_is_read():
+    """Each attribute `PatternSet.__post_init__` assigns is read somewhere in
+    the package outside `__post_init__`: no table is built for no reader."""
+    package = pathlib.Path(beamforge.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")]
+    post_init = next(
+        node
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "PatternSet"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+    )
+    inside = {id(node) for node in ast.walk(post_init)}
+    built = {
+        target.attr
+        for node in ast.walk(post_init)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+    }
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in inside
+    }
+    assert {"delta", "casts", "draws"} <= built
+    assert sorted(built - read) == []
 
 
 # -- brute-force equivalence -------------------------------------------------
