@@ -58,13 +58,6 @@ def candidate_ratios(inst: Instance, pats: PatternSet, mold_class: int) -> set[F
 def lower_bound(inst: Instance, pats: PatternSet) -> BoundBreakdown:
     """Evaluate the bound; exact integer ceilings on centimeter data."""
     require_castable(inst, pats)
-    work = sum(
-        bt.curing_time * sum(l * d for l, d in zip(bt.lengths, bt.demands))
-        for bt in inst.beam_types
-    )
-    capacity = inst.total_mold_capacity()
-    makespan_lb = -((-work) // capacity) if work > 0 else 0
-
     bar_length_needed = inst.required_bar_length
     per_gamma: list[tuple[int, int, Fraction]] = []
     if bar_length_needed == 0:
@@ -85,7 +78,7 @@ def lower_bound(inst: Instance, pats: PatternSet) -> BoundBreakdown:
             min(Fraction(bar_length_needed, caps[g - 1]) * ratio for g, _, ratio in per_gamma),
         )
     return BoundBreakdown(
-        makespan_lb=makespan_lb,
+        makespan_lb=inst.min_makespan,
         waste_lb_cm=waste_lb_cm,
         per_gamma=per_gamma,
         makespan_weight=Fraction(inst.weights[0]),

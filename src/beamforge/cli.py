@@ -20,6 +20,7 @@ from .errors import (
     InfeasibleInstanceError,
     InstanceFormatError,
     ValidationError,
+    naming,
 )
 from .ga import GaParams, run
 from .instance import cm_to_m, generate_instance, load_instance, serialize_instance
@@ -205,10 +206,11 @@ def _cmd_bench(args) -> int:
     names = sorted(n for n in os.listdir(args.instances) if n.endswith(".json"))
     if not names:
         raise InfeasibleInstanceError(f"no instance files in {args.instances}")
-    instances = [
-        (name[: -len(".json")], load_instance(os.path.join(args.instances, name)))
-        for name in names
-    ]
+    instances = []
+    for name in names:
+        stem = name[: -len(".json")]
+        with naming(f"instance {stem}"):
+            instances.append((stem, load_instance(os.path.join(args.instances, name))))
     aggregate = None
     if args.out is not None:
         aggregate = os.path.join(os.path.dirname(args.out) or ".", "trials.csv")

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class BeamforgeError(Exception):
     """Base class for all library errors."""
@@ -20,7 +22,6 @@ class ValidationError(BeamforgeError):
 
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
-        self.violations = violations
 
 
 class HorizonError(BeamforgeError):
@@ -49,7 +50,6 @@ class UnproducibleClassError(BeamforgeError):
 
     def __init__(self, mold_class: int):
         super().__init__(f"no pattern produces bars for mold class {mold_class}")
-        self.mold_class = mold_class
 
 
 class BudgetExceededError(BeamforgeError):
@@ -59,3 +59,13 @@ class BudgetExceededError(BeamforgeError):
 class DimensionMismatchError(BeamforgeError):
     """Raised when an assignment is not dimensioned to the model it is checked
     against, or a pattern set to the instance it is used with."""
+
+
+@contextmanager
+def naming(subject: str):
+    """Prefix `subject: ` to a library or value error's message; its type stays."""
+    try:
+        yield
+    except (BeamforgeError, ValueError) as exc:
+        exc.args = (f"{subject}: {exc}",)
+        raise

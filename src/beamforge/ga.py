@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import HorizonError, InfeasibleInstanceError
 from .evaluation import (
@@ -98,12 +98,22 @@ class GaParams:
 
 @dataclass
 class Population:
+    """Members sorted by score, ties in arrival order; no two share a key."""
+
     members: list[Chromosome]
     fitnesses: list[float]
     rejected_constructions: int = 0
+    keys: set = field(init=False, repr=False)
 
-    def keys(self) -> set:
-        return {m.key() for m in self.members}
+    def __post_init__(self):
+        self.keys = {m.key() for m in self.members}
+
+    def insert(self, ch: Chromosome, value: float, key) -> None:
+        """Add a member whose key is new, after every member scoring `value`."""
+        idx = bisect_right(self.fitnesses, value)
+        self.members.insert(idx, ch)
+        self.fitnesses.insert(idx, value)
+        self.keys.add(key)
 
 
 @dataclass
@@ -459,20 +469,30 @@ def init_population(
     params: GaParams, inst: Instance, pats: PatternSet, rng: random.Random
 ) -> Population:
     require_castable(inst, pats)
-    members, fitnesses, rejected = _draw_population(
-        params.construction_pool, params.population_size, [], [], inst, pats, rng
-    )
-    if not members:
+    pop = _draw_population(params, [], [], inst, pats, rng)
+    if not pop.members:
         raise InfeasibleInstanceError(
             f"no feasible solution in {params.construction_pool} construction attempts"
         )
-    return Population(members=members, fitnesses=fitnesses, rejected_constructions=rejected)
+    return pop
 
 
-def _draw_population(pool, size, seed_members, seed_fitnesses, inst, pats, rng):
-    candidates = list(zip(seed_members, seed_fitnesses))
+def _ranked(candidates, size: int, rejected: int) -> Population:
+    """The best `size` (plan, score) candidates by score, then key; one per key."""
+    pop = Population([], [], rejected)
+    for value, key, ch in sorted(((v, ch.key(), ch) for ch, v in candidates), key=lambda c: c[:2]):
+        if len(pop.members) == size:
+            break
+        if key not in pop.keys:
+            pop.insert(ch, value, key)
+    return pop
+
+
+def _draw_population(params, members, fitnesses, inst, pats, rng) -> Population:
+    """Rank the given members and `construction_pool` fresh draws (`_ranked`)."""
+    candidates = list(zip(members, fitnesses))
     rejected = 0
-    for _ in range(pool):
+    for _ in range(params.construction_pool):
         tables = mold_levels(inst)
         ch = random_solution(inst, pats, rng, tables)
         if ch is None:
@@ -482,18 +502,7 @@ def _draw_population(pool, size, seed_members, seed_fitnesses, inst, pats, rng):
         # them without placing its casts again.
         makespan = max(table.high for table in tables)
         candidates.append((ch, score_at_makespan(ch, inst, pats, makespan)))
-    candidates.sort(key=lambda item: (item[1], item[0].key()))
-    members, fitnesses, seen = [], [], set()
-    for ch, value in candidates:
-        key = ch.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        members.append(ch)
-        fitnesses.append(value)
-        if len(members) == size:
-            break
-    return members, fitnesses, rejected
+    return _ranked(candidates, params.population_size, rejected)
 
 
 def run(inst: Instance, pats: PatternSet, params: GaParams) -> GaResult:
@@ -501,69 +510,51 @@ def run(inst: Instance, pats: PatternSet, params: GaParams) -> GaResult:
     rng = random.Random(params.rng_seed)
     pop = init_population(params, inst, pats, rng)
     rejected = pop.rejected_constructions
-    keys = pop.keys()
     trace: list[GenerationStat] = []
     stagnation = 0
     prev_best = pop.fitnesses[0]
     for generation in range(1, params.generations + 1):
         offspring = _make_offspring(pop, inst, pats, params, rng)
-        # A duplicate is never inserted, so it is not scored.
-        if offspring is not None and (key := offspring.key()) not in keys:
-            if len(pop.members) < params.population_size:
-                value = _placed_score(offspring, inst, pats)
-                if value is not None:
-                    _insert_sorted(pop, keys, offspring, value, key)
-            # The score is never below the floor: an offspring whose floor
-            # cannot beat the worst member is not placed.
-            elif score_floor(offspring, inst, pats) < pop.fitnesses[-1]:
-                value = _placed_score(offspring, inst, pats)
-                if value is not None and value < pop.fitnesses[-1]:
-                    worst = pop.members.pop()
+        # A duplicate is never inserted, so it is not scored.  Once the
+        # population is full, an offspring must beat the worst member; its
+        # score is never below its floor, so one whose floor cannot is not
+        # placed.  One whose casts overrun the horizon is not admitted.
+        if offspring is not None and (key := offspring.key()) not in pop.keys:
+            full = len(pop.members) == params.population_size
+            worst = pop.fitnesses[-1] if full else math.inf
+            value = math.inf
+            if not full or score_floor(offspring, inst, pats) < worst:
+                try:
+                    value = score(offspring, inst, pats)
+                except HorizonError:
+                    pass
+            if value < worst:
+                if full:
+                    pop.keys.discard(pop.members.pop().key())
                     pop.fitnesses.pop()
-                    keys.discard(worst.key())
-                    _insert_sorted(pop, keys, offspring, value, key)
+                pop.insert(offspring, value, key)
         best = pop.fitnesses[0]
         if best < prev_best:
             stagnation = 0
             prev_best = best
         else:
             stagnation += 1
-        trace.append(
-            GenerationStat(
-                generation=generation,
-                best_fitness=best,
-                mean_fitness=sum(pop.fitnesses) / len(pop.fitnesses),
-            )
-        )
+        trace.append(GenerationStat(generation, best, sum(pop.fitnesses) / len(pop.fitnesses)))
         if stagnation >= params.restart_patience:
-            elites = pop.members[: params.restart_elites]
-            elite_fit = pop.fitnesses[: params.restart_elites]
-            members, fitnesses, extra = _draw_population(
-                params.construction_pool,
-                params.population_size,
-                elites,
-                elite_fit,
-                inst,
-                pats,
-                rng,
-            )
-            rejected += extra
+            n = params.restart_elites
+            drawn = _draw_population(params, pop.members[:n], pop.fitnesses[:n], inst, pats, rng)
+            rejected += drawn.rejected_constructions
             # A restart without elites may draw no feasible plan: keep the
             # population it would have replaced.
-            if members:
-                pop.members, pop.fitnesses = members, fitnesses
-                keys = pop.keys()
+            if drawn.members:
+                pop = drawn
             stagnation = 0
             prev_best = pop.fitnesses[0]
     # Final polish: reorder genes of every member for a shorter makespan.
+    # The key ignores gene order, so the polished members stay distinct.
     # Only the plan that is returned is classified and decoded in full.
-    polished = []
-    for member in pop.members:
-        improved_member = local_search_insert(member, inst, pats)
-        polished.append((score(improved_member, inst, pats), improved_member.key(), improved_member))
-    polished.sort(key=lambda item: (item[0], item[1]))
-    pop.members = [item[2] for item in polished]
-    pop.fitnesses = [item[0] for item in polished]
+    polished = (local_search_insert(member, inst, pats) for member in pop.members)
+    pop = _ranked([(ch, score(ch, inst, pats)) for ch in polished], len(pop.members), rejected)
     best_member = pop.members[0]
     best_value, best_schedule = evaluate(best_member, inst, pats)
     return GaResult(
@@ -574,21 +565,6 @@ def run(inst: Instance, pats: PatternSet, params: GaParams) -> GaResult:
         rejected_constructions=rejected,
         population=pop,
     )
-
-
-def _placed_score(ch: Chromosome, inst: Instance, pats: PatternSet) -> float | None:
-    """The plan's score, or None when its casts do not fit the horizon."""
-    try:
-        return score(ch, inst, pats)
-    except HorizonError:
-        return None
-
-
-def _insert_sorted(pop: Population, keys: set, ch: Chromosome, value: float, key) -> None:
-    idx = bisect_right(pop.fitnesses, value)
-    pop.members.insert(idx, ch)
-    pop.fitnesses.insert(idx, value)
-    keys.add(key)
 
 
 def _make_offspring(pop, inst, pats, params, rng) -> Chromosome | None:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bound import lower_bound
-from .errors import BeamforgeError
+from .errors import BeamforgeError, naming
 from .ga import GaParams, run
 from .instance import Instance
 from .patterns import PatternSet, generate_patterns
@@ -183,9 +183,10 @@ def run_trials(
     prepared: list[tuple[str, Instance, PatternSet, float]] = []
     for name, inst in instances:
         pats = generate_patterns(inst)
-        lb_total = lower_bound(inst, pats).total
-        if lb_total <= 0:
-            raise ValueError(f"instance {name}: lower bound must be positive")
+        with naming(f"instance {name}"):
+            lb_total = lower_bound(inst, pats).total
+            if lb_total <= 0:
+                raise ValueError("lower bound must be positive")
         prepared.append((name, inst, pats, lb_total))
 
     payloads = []

@@ -115,8 +115,14 @@ class Instance:
     def max_curing_time(self) -> int:
         return max(bt.curing_time for bt in self.beam_types)
 
-    def total_mold_capacity(self) -> int:
-        return sum(self.mold_lengths)
+    @property
+    def min_makespan(self) -> int:
+        """Periods every plan takes at least: curing work over total mold length, rounded up."""
+        work = sum(
+            bt.curing_time * sum(l * d for l, d in zip(bt.lengths, bt.demands))
+            for bt in self.beam_types
+        )
+        return -(-work // sum(self.mold_lengths))
 
     @property
     def required_bar_length(self) -> int:

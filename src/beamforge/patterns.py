@@ -274,10 +274,10 @@ def enumerate_packing_patterns(inst: Instance, maximal_only: bool = True) -> lis
 def require_castable(inst: Instance, pats: PatternSet) -> None:
     """Raise when a demanded beam can never be cast: its type cures longer
     than the horizon, or its length is in no packing pattern (fits no mold).
-    Raise too when the stock, new bars and leftovers, is shorter than the bar
-    length the demand needs (no cut or splice makes more bar than it uses),
-    or makes fewer mold-length bars than any plan needs.  Both stock checks
-    are necessary, not sufficient."""
+    Raise too when the demand needs more periods of mold capacity than the
+    horizon (`Instance.min_makespan`), or more bar than the stock holds (no
+    cut or splice makes more bar than it uses), or more mold-length bars
+    than the stock makes.  These three checks are necessary, not sufficient."""
     pats.check_shape(inst)
     start = 0  # the beam slot of the type's first length
     for c, bt in enumerate(inst.beam_types, start=1):
@@ -292,6 +292,11 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
                 raise InfeasibleInstanceError(
                     f"beam type {c}: length {cm_to_m(length)} m fits in no mold"
                 )
+    if inst.min_makespan > inst.horizon:
+        raise InfeasibleInstanceError(
+            f"the demand needs at least {inst.min_makespan} periods of mold capacity, "
+            f"the horizon is {inst.horizon}"
+        )
     stock = sum(n * length for n, length in zip(inst.stock, inst.bar_lengths))
     if stock < inst.required_bar_length:
         raise InfeasibleInstanceError(

@@ -34,6 +34,7 @@ from beamforge.instance import generate_instance
 from beamforge.patterns import generate_patterns
 
 from conftest import CWP000_DOC, beam_type, make_instance
+from test_ilp import solve_milp
 from test_patterns import CUTTING_GOLDEN, OVERLAP_GOLDEN, PACKING_GOLDEN
 
 
@@ -338,39 +339,10 @@ def test_criterion_10_model_counts_and_external_solve(capfd, cwp000, cwp000_patt
 
     detail = "x=51 z=3 y=10 o=12, 52 rows"
     try:
-        from scipy import optimize as scipy_opt
-        import numpy as np
-        from test_ilp import parse_lp
+        solved = solve_milp(text)
     except ImportError:
         report(capfd, 10, True, detail + "; external solver unavailable, optional check skipped")
         return
-    objective, rows, fixed, binaries, generals = parse_lp(text)
-    names = sorted(binaries | generals)
-    index = {name: i for i, name in enumerate(names)}
-    c = np.zeros(len(names))
-    for name, coeff in objective.items():
-        c[index[name]] = coeff
-    constraints = []
-    for terms, sense, rhs in rows.values():
-        row = np.zeros(len(names))
-        for name, coeff in terms.items():
-            row[index[name]] = coeff
-        constraints.append(
-            scipy_opt.LinearConstraint(
-                row,
-                -np.inf if sense == "<=" else rhs,
-                np.inf if sense == ">=" else rhs,
-            )
-        )
-    upper = np.array([1.0 if n in binaries else np.inf for n in names])
-    for name in fixed:
-        upper[index[name]] = 0.0
-    solved = scipy_opt.milp(
-        c=c,
-        constraints=constraints,
-        integrality=np.ones(len(names)),
-        bounds=scipy_opt.Bounds(np.zeros(len(names)), upper),
-    )
     assert solved.success
     assert solved.fun == pytest.approx(2.3, abs=1e-6)
     report(capfd, 10, True, detail + f"; external optimum {solved.fun:.6f}")

@@ -121,7 +121,8 @@ class TestExitCodes:
             argv = [command, "--instance", str(tmp_path / "long.json")]
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
-        assert err == "beamforge: beam type 1: length 13.0 m fits in no mold\n"
+        named = "instance long: " if command == "bench" else ""
+        assert err == f"beamforge: {named}beam type 1: length 13.0 m fits in no mold\n"
 
     @staticmethod
     def no_packing_pattern(tmp_path, demand):
@@ -170,6 +171,47 @@ class TestExitCodes:
         assert dispatch([command, "--instance", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "beamforge: stock makes at most 1 mold-length bars, the demand needs 2\n"
+
+    @pytest.mark.parametrize("command", ["bound", "solve", "bench"])
+    @pytest.mark.parametrize(
+        "doc, needs",
+        # cwp000's casts fill 2 periods of its molds, generate_instance(7, 2, 15)'s 5.
+        [(dict(CWP000_DOC, T=1), 2),
+         (dict(json.loads(serialize_instance(generate_instance(7, 2, 15))), T=2), 5)],
+        ids=["cwp000", "7-2-15"],
+    )
+    def test_horizon_shorter_than_the_mold_capacity_needs_is_code_two(
+        self, tmp_path, capsys, monkeypatch, command, doc, needs
+    ):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("beamforge.ga.random_solution", no_search)
+        (tmp_path / "tight.json").write_text(json.dumps(doc))
+        if command == "bench":
+            argv = ["bench", "--instances", str(tmp_path), "--reps", "1", "--seed", "1",
+                    "--trials", "4", "--no-timing"]
+        else:
+            argv = [command, "--instance", str(tmp_path / "tight.json")]
+        assert dispatch(argv) == 2
+        named = "instance tight: " if command == "bench" else ""
+        assert capsys.readouterr().err == (
+            f"beamforge: {named}the demand needs at least {needs} periods of mold capacity, "
+            f"the horizon is {doc['T']}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "change, code, message",
+        [({"T": "x"}, 1, "key 'T' must be an integer"),
+         ({"stock": [0] * 5}, 2, "stock holds 0.0 m of bar, the demand needs 38.6 m")],
+        ids=["load", "no-stock"],
+    )
+    def test_bench_names_the_failing_instance(self, tmp_path, capsys, change, code, message):
+        (tmp_path / "a.json").write_text(json.dumps(CWP000_DOC))
+        (tmp_path / "b.json").write_text(json.dumps(dict(CWP000_DOC, **change)))
+        argv = ["bench", "--instances", str(tmp_path), "--reps", "1", "--seed", "1"]
+        assert dispatch(argv) == code
+        assert capsys.readouterr().err == f"beamforge: instance b: {message}\n"
 
     @pytest.mark.parametrize(
         "flags",

@@ -530,8 +530,9 @@ class TestInitPopulation:
 
         real = ga.score_at_makespan
         monkeypatch.setattr(ga, "score_at_makespan", recording)
-        members, _, rejected = ga._draw_population(pool, 25, [], [], inst, pats, random.Random(6))
-        assert members and len(valued) == pool - rejected > 0
+        params = GaParams(population_size=25, construction_pool=pool)
+        pop = ga._draw_population(params, [], [], inst, pats, random.Random(6))
+        assert pop.members and len(valued) == pool - pop.rejected_constructions > 0
         for ch, value in valued:
             assert value.hex() == score(ch, inst, pats).hex()
 
@@ -606,7 +607,7 @@ class TestRun:
 
         def recorded(*args):
             drawn = draw_population(*args)
-            draws.append((len(drawn[0]), drawn[2]))
+            draws.append((len(drawn.members), drawn.rejected_constructions))
             return drawn
 
         draw_population = ga._draw_population

@@ -412,37 +412,43 @@ class TestDistinctWeights:
         assert schedule.objective_cm == 100 * l1 * 2 + l2 * 30
 
 
+def solve_milp(text):
+    """Solve emitted LP text with scipy's `milp` (HiGHS) on dense matrices
+    built from `parse_lp`; raises ImportError without scipy."""
+    import numpy as np
+    from scipy import optimize as scipy_opt
+
+    objective, rows, fixed, binaries, generals = parse_lp(text)
+    names = sorted(binaries | generals)
+    index = {name: i for i, name in enumerate(names)}
+    c = np.zeros(len(names))
+    for name, coeff in objective.items():
+        c[index[name]] = coeff
+    constraints = []
+    for terms, sense, rhs in rows.values():
+        row = np.zeros(len(names))
+        for name, coeff in terms.items():
+            row[index[name]] = coeff
+        lb = -np.inf if sense == "<=" else rhs
+        ub = np.inf if sense == ">=" else rhs
+        constraints.append(scipy_opt.LinearConstraint(row, lb, ub))
+    upper = np.array([1.0 if n in binaries else np.inf for n in names])
+    for name in fixed:
+        upper[index[name]] = 0.0
+    return scipy_opt.milp(
+        c=c,
+        constraints=constraints,
+        integrality=np.ones(len(names)),
+        bounds=scipy_opt.Bounds(np.zeros(len(names)), upper),
+    )
+
+
 class TestExternalSolve:
     def test_milp_on_emitted_file(self, cwp000, cwp000_patterns, tmp_path):
-        scipy_opt = pytest.importorskip("scipy.optimize")
-        import numpy as np
-
-        model = build_model(cwp000, cwp000_patterns)
+        pytest.importorskip("scipy.optimize")
         path = tmp_path / "model.lp"
-        path.write_text(emit_lp(model))
-        objective, rows, fixed, binaries, generals = parse_lp(path.read_text())
-        names = sorted(binaries | generals)
-        index = {name: i for i, name in enumerate(names)}
-        c = np.zeros(len(names))
-        for name, coeff in objective.items():
-            c[index[name]] = coeff
-        constraints = []
-        for terms, sense, rhs in rows.values():
-            row = np.zeros(len(names))
-            for name, coeff in terms.items():
-                row[index[name]] = coeff
-            lb = -np.inf if sense == "<=" else rhs
-            ub = np.inf if sense == ">=" else rhs
-            constraints.append(scipy_opt.LinearConstraint(row, lb, ub))
-        upper = np.array([1.0 if n in binaries else np.inf for n in names])
-        for name in fixed:
-            upper[index[name]] = 0.0
-        result = scipy_opt.milp(
-            c=c,
-            constraints=constraints,
-            integrality=np.ones(len(names)),
-            bounds=scipy_opt.Bounds(np.zeros(len(names)), upper),
-        )
+        path.write_text(emit_lp(build_model(cwp000, cwp000_patterns)))
+        result = solve_milp(path.read_text())
         assert result.success
         assert result.fun == pytest.approx(2.3, abs=1e-6)
 

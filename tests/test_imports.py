@@ -2,15 +2,19 @@
 names a standard-library module or beamforge itself.  Imports inside a
 function body run only when it is called, which is how optional
 dependencies are loaded, so they are not checked.  Every name a load-time
-import binds is read in its module, so a deletion leaves no stale import."""
+import binds is read in its module, so a deletion leaves no stale import.
+Every beamforge name the benchmark in `perfbench/` patches or reads exists."""
 
 import ast
+import dataclasses
+import importlib
 import pathlib
 import sys
 
 import pytest
 
 import beamforge
+from beamforge.ga import GaResult
 
 MODULES = sorted(pathlib.Path(beamforge.__file__).parent.glob("*.py"))
 
@@ -73,3 +77,48 @@ def test_every_load_time_import_is_read(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert [(line, name) for line, name in bound if name not in read] == []
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_reads():
+    """(module, name) of every beamforge name `perfbench/workloads.py` reads:
+    the names it imports from a beamforge module, and the attributes it reads
+    of the beamforge modules it imports."""
+    tree = parse(PERFBENCH / "workloads.py")
+    modules, reads = {}, set()
+    for node in import_nodes(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("beamforge"):
+            for alias in node.names:
+                if node.module == "beamforge":  # a module of the package
+                    modules[alias.asname or alias.name] = f"beamforge.{alias.name}"
+                else:
+                    reads.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def test_perfbench_names_exist():
+    # perfbench patches its layer hooks (`Tracer.install` runs getattr on
+    # each) and reads the program from outside, so a rename would break the
+    # benchmark run rather than a test.
+    tree = parse(PERFBENCH / "spans.py")
+    hooks = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "LAYER_FUNCTIONS"
+    )
+    reads = perfbench_reads()
+    # The parse found the names: a few that perfbench is known to use.
+    assert ("beamforge.evaluation", "classify_infeasibility") in hooks
+    assert {("beamforge.ga", "random_solution"), ("beamforge.harness", "TrialDesign"),
+            ("beamforge.ilp", "induced_assignment")} <= reads
+    missing = [(m, n) for m, n in hooks.keys() | reads
+               if not hasattr(importlib.import_module(m), n)]
+    assert missing == []
+    assert all(callable(getattr(importlib.import_module(m), n)) for m, n in hooks)
+    assert "rejected_constructions" in {f.name for f in dataclasses.fields(GaResult)}
