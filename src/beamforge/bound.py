@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnproducibleClassError
 from .instance import Instance
 from .patterns import PatternSet, require_castable
 
@@ -44,38 +43,29 @@ def candidate_ratios(inst: Instance, pats: PatternSet, mold_class: int) -> set[F
 
     Covers new-bar cuts with and without a leftover, leftover-bar cuts, and
     splices.  A cut that makes bars of several classes spreads its waste over
-    all of them; raises when nothing can produce the class.
+    all of them; the set is empty when nothing can produce the class.
     """
-    ratios: set[Fraction] = set()
-    for p in pats.producers:
-        if p.item_counts[mold_class - 1] > 0:
-            ratios.add(p.weighted_waste_per_bar(inst.weights))
-    if not ratios:
-        raise UnproducibleClassError(mold_class)
-    return ratios
+    return {
+        p.weighted_waste_per_bar(inst.weights)
+        for p in pats.producers
+        if p.item_counts[mold_class - 1] > 0
+    }
 
 
 def lower_bound(inst: Instance, pats: PatternSet) -> BoundBreakdown:
     """Evaluate the bound; exact integer ceilings on centimeter data."""
     require_castable(inst, pats)
-    bar_length_needed = inst.required_bar_length
-    per_gamma: list[tuple[int, int, Fraction]] = []
-    if bar_length_needed == 0:
-        waste_lb_cm = Fraction(0)
-    else:
-        caps = inst.distinct_mold_lengths
-        for g, cap in enumerate(caps, start=1):
-            try:
-                ratio = min(candidate_ratios(inst, pats, g))
-            except UnproducibleClassError:
-                continue
-            per_gamma.append((g, -((-bar_length_needed) // cap), ratio))
-        if not per_gamma:
-            raise UnproducibleClassError(1)
-        fewest_bars = min(count for _, count, _ in per_gamma)
+    need, caps = inst.required_bar_length, inst.distinct_mold_lengths
+    per_gamma: list[tuple[int, int, Fraction]] = []  # none when no bar is needed
+    for g, cap in enumerate(caps if need else (), start=1):
+        ratios = candidate_ratios(inst, pats, g)
+        if ratios:  # a class nothing makes adds nothing
+            per_gamma.append((g, -(-need // cap), min(ratios)))
+    waste_lb_cm = Fraction(0)
+    if per_gamma:
         waste_lb_cm = max(
-            fewest_bars * min(ratio for _, _, ratio in per_gamma),
-            min(Fraction(bar_length_needed, caps[g - 1]) * ratio for g, _, ratio in per_gamma),
+            min(count for _, count, _ in per_gamma) * min(ratio for _, _, ratio in per_gamma),
+            min(Fraction(need, caps[g - 1]) * ratio for g, _, ratio in per_gamma),
         )
     return BoundBreakdown(
         makespan_lb=inst.min_makespan,

@@ -230,8 +230,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line, subcommands too, as a validation error."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="beamforge")
+    parser = _Parser(prog="beamforge")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random benchmark instance")
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mut", type=float, default=_TUNED["mut"])
     p.add_argument("--rst", type=float, default=_TUNED["rst"])
     p.add_argument("--as-mult", type=int, default=_TUNED["as_mult"])
-    p.add_argument("--crs", type=int, choices=(1, 2), default=_TUNED["crs"])
+    p.add_argument("--crs", type=int, default=_TUNED["crs"])
     p.add_argument("--ter", type=int, default=_TUNED["ter"])
     p.add_argument("--out")
     p.add_argument("--gantt", action="store_true")
@@ -284,13 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code
     except (InstanceFormatError, ValidationError, ValueError) as exc:
         print(f"beamforge: {exc}", file=sys.stderr)
         return 1

@@ -45,13 +45,6 @@ class InfeasibleInstanceError(BeamforgeError):
     feasible solution found by construction."""
 
 
-class UnproducibleClassError(BeamforgeError):
-    """Raised when no cutting or overlapping pattern can produce bars for a mold class."""
-
-    def __init__(self, mold_class: int):
-        super().__init__(f"no pattern produces bars for mold class {mold_class}")
-
-
 class BudgetExceededError(BeamforgeError):
     """Raised when the exhaustive search exceeds its configured node budget."""
 

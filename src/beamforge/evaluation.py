@@ -13,7 +13,6 @@ from .errors import (
     HorizonError,
     InfeasibleChromosomeError,
     UnknownPatternError,
-    UnproducibleClassError,
 )
 from .instance import Instance
 from .patterns import PatternSet
@@ -482,12 +481,10 @@ def exhaustive_optimum(
 
     tally = Tally(inst, pats)
     counts = tally.counts
-    ratios = []  # least weighted waste per bar made (m), per class
-    for g in range(1, inst.num_mold_classes + 1):
-        try:
-            ratios.append(float(min(candidate_ratios(inst, pats, g)) / 100))
-        except UnproducibleClassError:
-            ratios.append(0.0)
+    ratios = [  # least weighted waste per bar made (m), per class; 0 if none is made
+        float(min(candidate_ratios(inst, pats, g), default=0) / 100)
+        for g in range(1, inst.num_mold_classes + 1)
+    ]
     packing, l1 = pats.packing, inst.weights[0]
     capacity = [len(molds) * inst.horizon for molds in inst.class_molds]
     load = [0] * inst.num_mold_classes

@@ -310,7 +310,11 @@ def serialize_instance(inst: Instance) -> str:
 
 def load_instance(path: str) -> Instance:
     with open(path, encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceFormatError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_instance(text)
 
 
 # -- random benchmark generation ------------------------------------------

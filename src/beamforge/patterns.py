@@ -277,7 +277,8 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
     Raise too when the demand needs more periods of mold capacity than the
     horizon (`Instance.min_makespan`), or more bar than the stock holds (no
     cut or splice makes more bar than it uses), or more mold-length bars
-    than the stock makes.  These three checks are necessary, not sufficient."""
+    than the stock makes, or a length that needs bars fits only molds whose
+    bars no producer makes from the stock.  These checks are necessary, not sufficient."""
     pats.check_shape(inst)
     start = 0  # the beam slot of the type's first length
     for c, bt in enumerate(inst.beam_types, start=1):
@@ -308,6 +309,19 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
         raise InfeasibleInstanceError(
             f"stock makes at most {most} mold-length bars, the demand needs {fewest}"
         )
+    producers = {p.id: p for p in pats.producers}
+    supplied = [  # per class: some producer of its bars draws no more than the stock holds
+        any(all(inst.stock[w - 1] >= n for w, n in producers[pid].stock_use) for pid in made)
+        for made in pats.column[pats.made_at : pats.used_at]
+    ]
+    for s, ((c, k), demand) in enumerate(zip(inst.demand_keys, inst.demand)):
+        bt, classes = inst.beam_types[c - 1], sorted({pats.casts[pid][0] for pid in pats.column[s]})
+        if demand and bt.bars_per_beam and not any(supplied[g] for g in classes):
+            molds = " or ".join(str(cm_to_m(inst.distinct_mold_lengths[g])) for g in classes)
+            raise InfeasibleInstanceError(
+                f"beam type {c}: length {cm_to_m(bt.lengths[k - 1])} m fits molds of {molds} m, "
+                "and the stock makes no bar for them"
+            )
 
 
 def _most_bars(inst: Instance, pats: PatternSet) -> int:

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beamforge.bound import candidate_ratios, lower_bound
-from beamforge.errors import InfeasibleInstanceError, UnproducibleClassError
+from beamforge.errors import InfeasibleInstanceError
 from beamforge.evaluation import decode_schedule, exhaustive_optimum
+from beamforge.instance import generate_instance
 from beamforge.patterns import generate_patterns, require_castable
 
 from conftest import beam_type, check_oracle_result, make_instance
@@ -61,8 +65,7 @@ class TestCandidateRatios:
             stock=(10,),
         )
         pats = generate_patterns(inst)
-        with pytest.raises(UnproducibleClassError):
-            candidate_ratios(inst, pats, 1)
+        assert candidate_ratios(inst, pats, 1) == set()
 
 
 class TestLowerBound:
@@ -110,6 +113,27 @@ class TestLowerBound:
             )
             pats = generate_patterns(inst)
             assert lower_bound(inst, pats).total_cm >= base
+
+    def test_pinned_breakdowns(self, cwp000):
+        # Every field of the bound on cwp000 and 40 generated instances, each
+        # under unit lambda and under one drawn lambda: a change to
+        # `lower_bound` or the ratios it reads changes this digest.
+        rng = random.Random(0)
+        instances = [cwp000] + [
+            generate_instance(seed, c, m)
+            for seed in range(1, 11)
+            for c, m in ((1, 5), (2, 15), (3, 15), (4, 30))
+        ]
+        rows = []
+        for inst in instances:
+            pats = generate_patterns(inst)
+            weights = tuple(rng.uniform(0.1, 1.0) for _ in range(4))
+            for variant in (inst, dataclasses.replace(inst, weights=weights)):
+                b = lower_bound(variant, pats)
+                rows.append((b.makespan_lb, b.waste_lb_cm, b.per_gamma, b.makespan_weight))
+        assert len(rows) == 82
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "34d03cea89e9b51c6df0f72cfaa7c570a0a6e45934c01a9b93c002a37ea6b02f"
 
 
 class TestWeightedBound:
@@ -274,3 +298,64 @@ class TestStockPrecheck:
         with pytest.raises(InfeasibleInstanceError) as info:
             require_castable(inst(4), generate_patterns(inst(4)))
         assert str(info.value) == "stock makes at most 8 mold-length bars, the demand needs 9"
+
+
+class TestSupplyPrecheck:
+    """A demanded length that needs bars must fit a mold class some producer
+    can make from the stock: one use draws no more than the stock holds.
+    One 8 m length fits only the 11.95 m class."""
+
+    @staticmethod
+    def instance(bar_lengths, stock, num_bar_kinds=1, bars=1):
+        return make_instance(
+            beam_types=[beam_type([800], [2], bars=bars)],
+            mold_lengths=[595, 1195],
+            horizon=4,
+            bar_lengths=bar_lengths,
+            num_bar_kinds=num_bar_kinds,
+            stock=stock,
+        )
+
+    @pytest.mark.parametrize(
+        "bar_lengths, stock, num_bar_kinds",
+        [((600,), (50,), 1),  # no cut makes a long bar
+         ((1200, 600), (0, 50), 2),  # the only long-bar cut draws a kind with no stock
+         ((600, 700, 600), (50, 1, 0), 1)],  # a long-bar splice needs two leftovers
+        ids=["no-producer", "no-stock", "one-leftover"],
+    )
+    def test_unsupplied_class_raises(self, bar_lengths, stock, num_bar_kinds):
+        inst = self.instance(bar_lengths, stock, num_bar_kinds)
+        pats = generate_patterns(inst)
+        with pytest.raises(InfeasibleInstanceError) as info:
+            lower_bound(inst, pats)
+        assert str(info.value) == (
+            "beam type 1: length 8.0 m fits molds of 11.95 m, and the stock makes no bar for them"
+        )
+
+    def test_every_class_it_fits_is_named(self):
+        # 3.3 m fits the 5.95 m and 11.95 m classes; 3 m bars make only 3 m
+        # bars, so the stock's bar count passes.
+        inst = make_instance(
+            beam_types=[beam_type([330], [2])],
+            mold_lengths=[300, 595, 1195],
+            horizon=4,
+            bar_lengths=(300,),
+            stock=(50,),
+        )
+        with pytest.raises(InfeasibleInstanceError) as info:
+            require_castable(inst, generate_patterns(inst))
+        assert str(info.value) == (
+            "beam type 1: length 3.3 m fits molds of 5.95 or 11.95 m, "
+            "and the stock makes no bar for them"
+        )
+
+    @pytest.mark.parametrize(
+        "bar_lengths, stock, num_bar_kinds, bars",
+        [((600,), (50,), 1, 0),  # a type that needs no bars
+         ((1200, 600), (1, 50), 2, 1),  # one 12 m bar makes a long bar
+         ((600, 700, 600), (50, 1, 1), 1, 1)],  # a splice of two leftovers does
+        ids=["no-bars", "one-new-bar", "splice"],
+    )
+    def test_supplied_class_passes(self, bar_lengths, stock, num_bar_kinds, bars):
+        inst = self.instance(bar_lengths, stock, num_bar_kinds, bars)
+        require_castable(inst, generate_patterns(inst))

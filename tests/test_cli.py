@@ -200,6 +200,55 @@ class TestExitCodes:
             f"the horizon is {doc['T']}\n"
         )
 
+    @pytest.mark.parametrize("command", ["bound", "solve", "bench"])
+    @pytest.mark.parametrize(
+        "bars, stock",
+        # One 8.0 m length fits only the 11.95 m molds.  6 m bars make no
+        # 11.95 m bar, and the 12 m bars that would are out of stock.
+        [([6.0], [50]), ([12.0, 6.0], [0, 50])],
+        ids=["no-producer", "no-stock"],
+    )
+    def test_mold_class_the_stock_cannot_supply_is_code_two(
+        self, tmp_path, capsys, monkeypatch, command, bars, stock
+    ):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("beamforge.ga.random_solution", no_search)
+        doc = {
+            "C": 1, "M": 2, "T": 4, "molds": [5.95, 11.95],
+            "beam_types": [{"lengths": [8.0], "demands": [2], "curing": 1, "bars_per_beam": 1}],
+            "bars": bars, "W": len(bars), "V": 0, "stock": stock,
+            "epsilon": 0.3, "lambda": [1, 1, 1, 1],
+        }
+        (tmp_path / "long.json").write_text(json.dumps(doc))
+        if command == "bench":
+            argv = ["bench", "--instances", str(tmp_path), "--reps", "1", "--seed", "1",
+                    "--trials", "4", "--no-timing"]
+        else:
+            argv = [command, "--instance", str(tmp_path / "long.json"), "--out",
+                    str(tmp_path / "out.txt")]
+        assert dispatch(argv) == 2
+        named = "instance long: " if command == "bench" else ""
+        assert capsys.readouterr().err == (
+            f"beamforge: {named}beam type 1: length 8.0 m fits molds of 11.95 m, "
+            "and the stock makes no bar for them\n"
+        )
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("command", ["bound", "bench"])
+    def test_instance_that_is_not_utf8_is_named(self, tmp_path, capsys, command):
+        (tmp_path / "x.json").write_bytes(b"\xff\xfe")
+        if command == "bench":
+            argv = ["bench", "--instances", str(tmp_path), "--reps", "1", "--seed", "1"]
+        else:
+            argv = ["bound", "--instance", str(tmp_path / "x.json")]
+        assert dispatch(argv) == 1
+        named = "instance x: " if command == "bench" else ""
+        assert capsys.readouterr().err == (
+            f"beamforge: {named}not UTF-8: invalid start byte at byte 0\n"
+        )
+
     @pytest.mark.parametrize(
         "change, code, message",
         [({"T": "x"}, 1, "key 'T' must be an integer"),
@@ -217,14 +266,30 @@ class TestExitCodes:
         "flags",
         # 1e308 is finite, but not once multiplied by NG.
         [["--rst", "inf"], ["--rst", "nan"], ["--rst", "1e308"], ["--rst", "-0.5"],
-         ["--ter", "-1"], ["--as-mult", "0"]],
+         ["--ter", "-1"], ["--as-mult", "0"], ["--tp", "abc"], ["--crs", "3"], ["--nope"]],
         ids=["rst-inf", "rst-nan", "rst-overflow", "rst-negative", "ter-negative",
-             "as-mult-zero"],
+             "as-mult-zero", "tp-word", "crs-three", "unknown-flag"],
     )
     def test_bad_solver_flag_is_validation_error(self, instance_file, capsys, flags):
         assert dispatch(["solve", "--instance", instance_file, "--ng-mult", "1", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("beamforge: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["bound", "--instance", "x.json", "--nope"], "unrecognized arguments: --nope"),
+         (["bound"], "the following arguments are required: --instance"),
+         ([], "the following arguments are required: command")],
+        ids=["unknown-flag", "missing-flag", "no-command"],
+    )
+    def test_malformed_command_line_is_validation_error(self, capsys, argv, message):
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"beamforge: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: beamforge")
 
     @pytest.mark.parametrize(
         "trials", ["", "4,4", "4,x", "x", "4,", "0"],

@@ -3,7 +3,8 @@ names a standard-library module or beamforge itself.  Imports inside a
 function body run only when it is called, which is how optional
 dependencies are loaded, so they are not checked.  Every name a load-time
 import binds is read in its module, so a deletion leaves no stale import.
-Every beamforge name the benchmark in `perfbench/` patches or reads exists."""
+Every beamforge name the benchmark in `perfbench/` patches or reads exists.
+Every error type but the base class is raised somewhere in the package."""
 
 import ast
 import dataclasses
@@ -77,6 +78,22 @@ def test_every_load_time_import_is_read(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert [(line, name) for line, name in bound if name not in read] == []
+
+
+def test_every_error_type_is_raised():
+    errors = next(m for m in MODULES if m.stem == "errors")
+    defined = {
+        node.name for node in parse(errors).body if isinstance(node, ast.ClassDef)
+    } - {"BeamforgeError"}
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert "InfeasibleInstanceError" in defined
+    assert sorted(defined - raised) == []
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
