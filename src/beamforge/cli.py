@@ -265,14 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the genetic solver")
     p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=int, default=_TUNED["seed"])
-    p.add_argument("--tp", type=int, default=_TUNED["tp"])
-    p.add_argument("--ng-mult", type=int, default=_TUNED["ng_mult"])
-    p.add_argument("--mut", type=float, default=_TUNED["mut"])
-    p.add_argument("--rst", type=float, default=_TUNED["rst"])
-    p.add_argument("--as-mult", type=int, default=_TUNED["as_mult"])
-    p.add_argument("--crs", type=int, default=_TUNED["crs"])
-    p.add_argument("--ter", type=int, default=_TUNED["ter"])
+    for name, default in _TUNED.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--out")
     p.add_argument("--gantt", action="store_true")
     p.add_argument("--trace")

@@ -3,9 +3,8 @@
 Variables follow the naming scheme x_i_m_t / z_t / y_h_w / yl_h_w_v / o_u with
 1-based indices; id 0 in the x family is the hold marker occupying a mold while
 an earlier cast cures.  The model refers to a variable only by its column: x
-columns first (mold by mold, then period by period, each period a slot of the
-hold marker and the mold's admitted patterns), then z by period, then the
-producers, cuts before splices.  `IlpModel.names` gives each column's name.
+columns first (see `IlpModel`), then z by period, then the producers, cuts
+before splices.  `IlpModel.names` gives each column's name.
 Constraint rows come in blocks of one group and sense, each holding the
 integer coefficients and column ids of all its rows in one flat pair of
 arrays; lengths appear solely in the objective, as meters.  The demand,
@@ -19,7 +18,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import eq, ge, le, mul
 
 from .errors import DimensionMismatchError
@@ -112,22 +111,54 @@ class Violation:
         return f"{self.group}{self.indices}: {self.detail}"
 
 
+def in_time(duration: int, horizon: int) -> int:
+    """The last period a cast can start in and finish within the horizon, or 0."""
+    return max(horizon - duration + 1, 0)
+
+
 @dataclass
 class IlpModel:
+    """Mold m's x columns start at x_base[m - 1], one slot per period of the
+    ids x_ids[m - 1]: the hold marker 0, then its class's packing patterns.  So
+    x_i_m_t is column x_base[m - 1] + (t - 1)·len(x_ids[m - 1]) + the slot
+    position of i; x_base[-1], one past the last mold, is z's first column."""
+
     inst: Instance
     pats: PatternSet
-    x_keys: list[tuple[int, int, int]]  # the key of each x column
-    fixed_zero: set[tuple[int, int, int]]
+    x_ids: list[list[int]]
+    x_base: list[int]
     blocks: list[RowBlock] = field(default_factory=list)
     objective: list[tuple[float, int]] = field(default_factory=list)  # (coefficient, column)
+
+    @property
+    def x_keys(self) -> list[tuple[int, int, int]]:
+        """The (i, m, t) key of each x column, in column order."""
+        periods = range(1, self.inst.horizon + 1)
+        return [(i, m, t) for m, ids in enumerate(self.x_ids, 1) for t in periods for i in ids]
 
     @property
     def z_keys(self) -> list[int]:
         return list(range(1, self.inst.horizon + 1))
 
     @property
+    def fixed_zero(self) -> set[tuple[int, int, int]]:
+        """The x keys of casts that start too late to finish within the horizon."""
+        T, casts = self.inst.horizon, self.pats.casts
+        return {
+            (i, m, t)
+            for m, ids in enumerate(self.x_ids, start=1)
+            for i in ids[1:]
+            for t in range(in_time(casts[i][1], T) + 1, T + 1)
+        }
+
+    @property
+    def producer_base(self) -> int:
+        """The first producer column, after x and z."""
+        return self.x_base[-1] + self.inst.horizon
+
+    @property
     def num_columns(self) -> int:
-        return len(self.x_keys) + self.inst.horizon + len(self.pats.producers)
+        return self.producer_base + len(self.pats.producers)
 
     @property
     def rows(self) -> RowView:
@@ -140,11 +171,6 @@ class IlpModel:
         names += [f"z_{t}" for t in self.z_keys]
         names += [_producer_name(p) for p in self.pats.producers]
         return names
-
-    def admitted(self, mold: int) -> list[int]:
-        """Packing pattern ids admitted to a 1-based mold (its length class)."""
-        g = self.inst.mold_classes[mold - 1]
-        return [p.id for p in self.pats.packing if p.mold_class == g]
 
 
 def _xname(i: int, m: int, t: int) -> str:
@@ -162,39 +188,27 @@ def _producer_name(pattern) -> str:
 
 
 def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
-    """Assemble every constraint block and the weighted objective.
-
-    Mold m's x columns start at base[m]; each period is a slot of width[m]
-    columns, the hold marker at position 0 and admitted[m][k - 1] at k, so
-    x_i_m_t sits at base[m] + (t - 1)·width[m] + position.  A row's columns
-    are slices, strided over periods where needed, of the array of all ids.
-    """
+    """Assemble every constraint block and the weighted objective.  A row's
+    columns are slices, strided over periods where needed, of the array of
+    all ids."""
     pats.check_shape(inst)
-    T = inst.horizon
-    M = inst.num_molds
-    W = inst.num_bar_kinds
-    V = inst.num_leftover_kinds
-    R = inst.max_curing_time
-    model = IlpModel(inst=inst, pats=pats, x_keys=[], fixed_zero=set())
-    x_keys, blocks = model.x_keys, model.blocks
-
-    admitted = {m: [pats.packing[i - 1] for i in model.admitted(m)] for m in range(1, M + 1)}
-    base, width = {}, {}
-    for m in range(1, M + 1):
-        base[m], width[m] = len(x_keys), 1 + len(admitted[m])
-        ids = [0, *(p.id for p in admitted[m])]
-        for t in range(1, T + 1):
-            x_keys += [(i, m, t) for i in ids]
-        # Starts too late to finish within the horizon.
-        for p in admitted[m]:
-            late = range(max(T - p.duration + 2, 1), T + 1)
-            model.fixed_zero.update((p.id, m, t) for t in late)
-    z_base = len(x_keys)
-    producer_base = z_base + T
-    col = _ints(range(producer_base + len(pats.producers)))
+    T, M, R = inst.horizon, inst.num_molds, inst.max_curing_time
+    W, V = inst.num_bar_kinds, inst.num_leftover_kinds
+    classes = range(1, inst.num_mold_classes + 1)
+    by_class = [[0, *(p.id for p in pats.packing if p.mold_class == g)] for g in classes]
+    x_ids = [by_class[g - 1] for g in inst.mold_classes]
+    x_base = list(accumulate((T * len(ids) for ids in x_ids), initial=0))
+    model = IlpModel(inst, pats, x_ids, x_base)
+    blocks = model.blocks
+    z_base, producer_base = x_base[-1], model.producer_base
+    col = _ints(range(model.num_columns))
+    # Per mold: its first x column, its slot width and (slot position, id,
+    # curing time) per packing pattern.
+    casts = [[(pos, i, pats.casts[i][1]) for pos, i in enumerate(ids) if pos] for ids in x_ids]
+    molds = list(zip(x_base, map(len, x_ids), casts))
 
     # Terms per tally slot, from each pattern's `delta`: producers in column
-    # order, then each mold's admitted patterns, whose beam slots count the
+    # order, then each mold's packing patterns, whose beam slots count the
     # starts that finish in time and whose required-bars slot every start,
     # negated.
     terms = [(_ints(), _ints()) for _ in pats.zero]
@@ -202,16 +216,14 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
         for s, coeff in pats.delta[p.id]:
             terms[s][0].append(coeff)
             terms[s][1].append(j)
-    for m in range(1, M + 1):
-        w = width[m]
-        for first, p in enumerate(admitted[m], start=base[m] + 1):
-            in_time = max(T - p.duration + 1, 0)
-            for s, coeff in pats.delta[p.id]:
-                n, coeff = (in_time, coeff) if s < pats.required_at else (T, -coeff)
+    for b, w, patterns in molds:
+        for pos, i, duration in patterns:
+            for s, coeff in pats.delta[i]:
+                n, coeff = (in_time(duration, T), coeff) if s < pats.required_at else (T, -coeff)
                 if coeff:
                     coeffs, cols = terms[s]
                     coeffs += _repeat(coeff, n)
-                    cols += col[first : first + n * w : w]
+                    cols += col[b + pos : b + pos + n * w : w]
 
     def slot_rows(group: str, sense: str, rows) -> RowBlock:
         """A block of rows (indices, rhs, *slots), each summing its slots' terms."""
@@ -224,10 +236,10 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
         return block
 
     # One pattern (possibly the hold marker) per mold and period.
-    for m in range(1, M + 1):
-        b, n = base[m], T * width[m]
+    for m, (b, w, _) in enumerate(molds, start=1):
+        n = T * w
         indices = [(m, t) for t in range(1, T + 1)]
-        starts = range(0, n + 1, width[m])
+        starts = range(0, n + 1, w)
         blocks.append(
             RowBlock("mold_slot", "<=", indices, [1] * T, _repeat(1, n), col[b : b + n], starts)
         )
@@ -235,10 +247,9 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
     blocks.append(slot_rows("demand", ">=", zip(pats.keys, inst.demand, range(pats.required_at))))
     # A started multi-period cast forces hold markers while it cures: row t
     # holds the start x_p_m_t, then the hold markers of periods t + 1 .. t + E - 1.
-    for m in range(1, M + 1):
-        b, w = base[m], width[m]
-        for pos, pattern in enumerate(admitted[m], start=1):
-            E, n = pattern.duration, T - pattern.duration + 1
+    for m, (b, w, patterns) in enumerate(molds, start=1):
+        for pos, i, E in patterns:
+            n = in_time(E, T)
             if E < 2 or n < 1:
                 continue
             cols = _repeat(0, n * E)
@@ -246,24 +257,20 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
             for j in range(1, E):
                 cols[j::E] = col[b + j * w : b + (j + n) * w : w]
             coeffs = (_repeat(E - 1, 1) + _repeat(-1, E - 1)) * n
-            indices = list(zip(repeat(m, n), range(1, n + 1), repeat(pattern.id, n)))
+            indices = list(zip(repeat(m, n), range(1, n + 1), repeat(i, n)))
             starts = range(0, n * E + 1, E)
             blocks.append(RowBlock("curing_hold", "<=", indices, [0] * n, coeffs, cols, starts))
     # No hold marker in the first period.
-    holds = _ints(base[m] for m in range(1, M + 1))
+    holds = _ints(x_base[:-1])
     indices = [(m,) for m in range(1, M + 1)]
     blocks.append(
         RowBlock("no_initial_hold", "=", indices, [0] * M, _repeat(1, M), holds, range(M + 1))
     )
     # A hold marker needs an unfinished cast started recently enough.
     block = RowBlock("hold_link", "<=")
-    for m in range(1, M + 1):
-        b, w = base[m], width[m]
+    for m, (b, w, patterns) in enumerate(molds, start=1):
         # Slot positions of the casts still curing `back` periods after their start.
-        curing = {
-            back: [pos for pos, p in enumerate(admitted[m], start=1) if p.duration >= back]
-            for back in range(2, R + 1)
-        }
+        curing = {back: [pos for pos, _, E in patterns if E >= back] for back in range(2, R + 1)}
         for t in range(2, T + 1):
             start = len(block.cols)
             block.cols.append(b + (t - 1) * w)
@@ -277,18 +284,17 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
     cols = _ints()
     for t in range(1, T + 1):
         cols.append(z_base + t - 1)
-        for m in range(1, M + 1):
-            s = base[m] + (t - 1) * width[m]
-            cols += col[s : s + width[m]]
-    n = 1 + sum(width.values())
+        for b, w, _ in molds:
+            s = b + (t - 1) * w
+            cols += col[s : s + w]
+    n = 1 + sum(w for _, w, _ in molds)
     coeffs = (_repeat(M, 1) + _repeat(-1, n - 1)) * T
     indices = [(t,) for t in range(1, T + 1)]
     blocks.append(
         RowBlock("period_active", ">=", indices, [0] * T, coeffs, cols, range(0, n * T + 1, n))
     )
     # Once a mold goes idle it stays idle.
-    for m in range(1, M + 1):
-        b, w = base[m], width[m]
+    for m, (b, w, _) in enumerate(molds, start=1):
         cols = _ints()
         for t in range(1, T):
             s = b + (t - 1) * w
@@ -305,7 +311,6 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
         rows = (((w,), inst.stock[w - 1], pats.used_at + w - 1) for w in kinds)
         blocks.append(slot_rows(group, "<=", rows))
     # Bars produced must equal bars the packed molds require.
-    classes = range(1, inst.num_mold_classes + 1)
     rows = (((g,), 0, pats.made_at + g - 1, pats.required_at + g - 1) for g in classes)
     blocks.append(slot_rows("bar_balance", "=", rows))
 
@@ -366,11 +371,10 @@ def emit_lp(model: IlpModel) -> str:
     if fixed:
         lines.append("Bounds")
         lines += [f" {_xname(*key)} = 0" for key in fixed]
-    first_general = len(model.x_keys) + len(model.z_keys)
     lines.append("Binaries")
-    lines += [" " + name for name in names[:first_general]]
+    lines += [" " + name for name in names[: model.producer_base]]
     lines.append("Generals")
-    lines += [" " + name for name in names[first_general:]]
+    lines += [" " + name for name in names[model.producer_base :]]
     lines += ["End", ""]
     return "\n".join(lines)
 
@@ -384,18 +388,16 @@ def induced_assignment(model: IlpModel, ch: Chromosome) -> list[int]:
     inst, pats = model.inst, model.pats
     schedule = decode_schedule(ch, inst, pats)
     values = [0] * model.num_columns
-    base = 0  # the mold's first x column
-    for m, starts in enumerate(schedule.assignments, start=1):
-        ids = [0, *model.admitted(m)]
+    for base, ids, starts in zip(model.x_base, model.x_ids, schedule.assignments):
         width = len(ids)
         for pid, start in starts:
             values[base + (start - 1) * width + ids.index(pid)] = 1
             _, duration = pats.casts[pid]
             for t in range(start, start + duration - 1):
                 values[base + t * width] = 1  # hold marker of period t + 1
-        base += inst.horizon * width
-    values[base : base + schedule.makespan] = [1] * schedule.makespan
-    offset = base + inst.horizon - pats.num_packing - 1  # a producer's column less its id
+    z_base = model.x_base[-1]
+    values[z_base : z_base + schedule.makespan] = [1] * schedule.makespan
+    offset = model.producer_base - pats.num_packing - 1  # a producer's column less its id
     for pid, freq in ch.genes:
         if pid > pats.num_packing:
             values[offset + pid] += freq
@@ -404,9 +406,8 @@ def induced_assignment(model: IlpModel, ch: Chromosome) -> list[int]:
 
 def assignment_objective(model: IlpModel, values: list[int]) -> float:
     """Float objective of a column vector, by the rule that scores chromosomes."""
-    z_base = len(model.x_keys)
-    producer_base = z_base + model.inst.horizon
-    active = sum(values[z_base:producer_base])
+    producer_base = model.producer_base
+    active = sum(values[model.x_base[-1] : producer_base])
     uses = zip(range(model.pats.num_packing + 1, model.pats.total + 1), values[producer_base:])
     return weighted_objective(model.inst.weights, active, *waste_cm(uses, model.pats))[0]
 
@@ -421,15 +422,15 @@ def check_assignment(model: IlpModel, values: list[int]) -> list[Violation]:
             f"the assignment has {len(values)} values, the model {model.num_columns} columns"
         )
     pats = model.pats
-    z_base = len(model.x_keys)
-    producer_base = z_base + model.inst.horizon
+    z_base, producer_base = model.x_base[-1], model.producer_base
+    fixed = model.fixed_zero
 
     violations: list[Violation] = []
     for key, value in zip(model.x_keys, values):
         if value not in (0, 1):
             detail = f"{_xname(*key)} must be binary, got {value}"
             violations.append(Violation("domain", key, detail))
-        elif value and key in model.fixed_zero:
+        elif value and key in fixed:
             detail = f"{_xname(*key)} is fixed to 0 (cannot finish in the horizon)"
             violations.append(Violation("domain", key, detail))
     for t, value in zip(model.z_keys, values[z_base:producer_base]):

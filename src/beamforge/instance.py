@@ -69,13 +69,10 @@ class BeamType:
 class Instance:
     """Full problem data for one planning run."""
 
-    num_beam_types: int
-    num_molds: int
     horizon: int
     beam_types: list[BeamType]
     mold_lengths: list[int]  # cm, one per mold
     num_bar_kinds: int  # new-bar kinds, first entries of bar_lengths
-    num_leftover_kinds: int  # leftover kinds, remaining entries
     bar_lengths: list[int]  # cm, new bars first then leftovers
     stock: list[int]  # counts, aligned with bar_lengths
     overlap_loss: int  # cm lost when two leftovers are spliced
@@ -106,6 +103,18 @@ class Instance:
         self.demand = [d for bt in self.beam_types for d in bt.demands]
 
     # -- derived views ----------------------------------------------------
+
+    @property
+    def num_beam_types(self) -> int:
+        return len(self.beam_types)
+
+    @property
+    def num_molds(self) -> int:
+        return len(self.mold_lengths)
+
+    @property
+    def num_leftover_kinds(self) -> int:
+        return len(self.bar_lengths) - self.num_bar_kinds
 
     @property
     def num_mold_classes(self) -> int:
@@ -150,13 +159,7 @@ def validate_instance(inst: Instance) -> list[str]:
     if inst.num_bar_kinds < 1:
         v.append("num_bar_kinds must be >= 1")
     if inst.num_leftover_kinds < 0:
-        v.append("num_leftover_kinds must be >= 0")
-    if len(inst.beam_types) != inst.num_beam_types:
-        v.append("beam_types length must equal num_beam_types")
-    if len(inst.mold_lengths) != inst.num_molds:
-        v.append("mold_lengths length must equal num_molds")
-    if len(inst.bar_lengths) != inst.num_bar_kinds + inst.num_leftover_kinds:
-        v.append("bar_lengths length must equal num_bar_kinds + num_leftover_kinds")
+        v.append("num_bar_kinds must not exceed the bar_lengths length")
     if len(inst.stock) != len(inst.bar_lengths):
         v.append("stock length must equal bar_lengths length")
     if any(L <= 0 for L in inst.mold_lengths):
@@ -263,20 +266,25 @@ def parse_instance(text: str) -> Instance:
     ):
         raise InstanceFormatError("lambda must be an array of 4 finite numbers")
 
+    counts = {key: count(key) for key in ("C", "M", "T", "W", "V")}
     inst = Instance(
-        num_beam_types=count("C"),
-        num_molds=count("M"),
-        horizon=count("T"),
+        horizon=counts["T"],
         beam_types=beam_types,
         mold_lengths=length_list(need("molds"), "molds"),
-        num_bar_kinds=count("W"),
-        num_leftover_kinds=count("V"),
+        num_bar_kinds=counts["W"],
         bar_lengths=length_list(need("bars"), "bars"),
         stock=int_list(need("stock"), "stock"),
         overlap_loss=meters_to_cm(need("epsilon")),
         weights=tuple(float(w) for w in raw_weights),
     )
-    violations = validate_instance(inst)
+    # The counts of beam types, molds and leftover kinds must match their lists.
+    listed = {"C": inst.num_beam_types, "M": inst.num_molds, "V": inst.num_leftover_kinds}
+    violations = [
+        f"{key} must equal {n}, the count its list gives, not {counts[key]}"
+        for key, n in listed.items()
+        if counts[key] != n and n >= 0  # validate_instance reports a W past the bar list
+    ]
+    violations += validate_instance(inst)
     if violations:
         raise ValidationError(violations)
     return inst
@@ -350,13 +358,10 @@ def generate_instance(seed: int, num_beam_types: int, num_molds: int) -> Instanc
     upper = 2 * horizon * num_molds * max_bars
     stock = [upper] + [rng.randint(math.ceil(upper / 5), upper) for _ in LEFTOVER_KINDS_CM]
     return Instance(
-        num_beam_types=num_beam_types,
-        num_molds=num_molds,
         horizon=horizon,
         beam_types=beam_types,
         mold_lengths=mold_lengths,
         num_bar_kinds=1,
-        num_leftover_kinds=len(LEFTOVER_KINDS_CM),
         bar_lengths=[NEW_BAR_CM, *LEFTOVER_KINDS_CM],
         stock=stock,
         overlap_loss=DEFAULT_OVERLAP_LOSS_CM,

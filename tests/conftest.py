@@ -57,13 +57,10 @@ def make_instance(
     if stock is None:
         stock = [1000] * len(bar_lengths)
     return Instance(
-        num_beam_types=len(beam_types),
-        num_molds=len(mold_lengths),
         horizon=horizon,
         beam_types=list(beam_types),
         mold_lengths=list(mold_lengths),
         num_bar_kinds=num_bar_kinds,
-        num_leftover_kinds=len(bar_lengths) - num_bar_kinds,
         bar_lengths=bar_lengths,
         stock=list(stock),
         overlap_loss=overlap_loss,

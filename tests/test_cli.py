@@ -287,9 +287,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"beamforge: {message}\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
-    def test_help_exits_zero(self, capsys, argv):
+    def test_help_exits_zero(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
         assert dispatch(argv) == 0
-        assert capsys.readouterr().out.startswith("usage: beamforge")
+        out = capsys.readouterr().out
+        assert out.startswith("usage: beamforge")
+        if argv[0] == "solve":
+            # The eight solver flags, in the order of `GaParams.scaled`'s keywords.
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == "b436ec023fa6743d2a21b6a18b1b332d019e937b6ea6cea1464c9c5e6f58b459"
 
     @pytest.mark.parametrize(
         "trials", ["", "4,4", "4,x", "x", "4,", "0"],

@@ -102,8 +102,8 @@ class TestBuildModel:
         assert len(cwp000_patterns.overlapping) == 12
         # Short molds admit the two short-class patterns; the long mold the
         # other four; the hold marker everywhere.
-        assert model.admitted(1) == [1, 2]
-        assert model.admitted(5) == [3, 4, 5, 6]
+        assert model.x_ids[0] == [0, 1, 2]
+        assert model.x_ids[4] == [0, 3, 4, 5, 6]
         assert not model.fixed_zero  # every cast cures in one period
 
     def test_row_counts_per_group(self, cwp000, cwp000_patterns):
@@ -149,7 +149,7 @@ class TestBuildModel:
 
 
 class TestColumnLayout:
-    """Columns run x (mold, period, then hold marker and admitted patterns),
+    """Columns run x (mold, period, then hold marker and the class's patterns),
     z, then producers; rows refer to them only by id."""
 
     @pytest.mark.parametrize("which", ["cwp000", "generated"])
@@ -165,7 +165,7 @@ class TestColumnLayout:
             (i, m, t)
             for m in range(1, M + 1)
             for t in range(1, T + 1)
-            for i in [0, *model.admitted(m)]
+            for i in model.x_ids[m - 1]
         ]
         nx = len(model.x_keys)
         assert len(model.names) == nx + T + len(pats.producers)
@@ -478,6 +478,32 @@ class TestPinnedBytes:
         for inst, pats in cases:
             digest.update(emit_lp(build_model(inst, pats)).encode())
         assert digest.hexdigest() == "380213c5aff70a894d9a2e6e6a37653e08972f60fa2914ad4d37497fd11abc64"
+
+    def test_pinned_lp_bytes_at_bench_scale(self):
+        # The smallest model-lp instance: 39,842 x columns, 1,584 fixed zeros.
+        inst = generate_instance(23, 2, 15)
+        text = emit_lp(build_model(inst, generate_patterns(inst)))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "6798cacc03b77348c49fa2f8b7638b3a15cf076b363aff9290b1ee2325715911"
+
+    def test_pinned_induced_assignments(self, cases):
+        # The column vectors of 40 drawn plans per case.
+        digest = hashlib.sha256()
+        for inst, pats in cases:
+            model = build_model(inst, pats)
+            rng = random.Random(8)
+            drawn = 0
+            while drawn < 40:
+                ch = random_solution(inst, pats, rng)
+                if ch is None:
+                    continue
+                try:
+                    values = induced_assignment(model, ch)
+                except HorizonError:
+                    continue
+                digest.update(repr(values).encode())
+                drawn += 1
+        assert digest.hexdigest() == "efef81a22d075fc5c27a81e7753663e392b9f5c1fbc0bf08eab8e80764156438"
 
     def test_pinned_violation_text(self, cases):
         # Each round perturbs the assignment a drawn plan induces: flipped x

@@ -65,6 +65,18 @@ class TestParse:
         with pytest.raises(InstanceFormatError, match="epsilon"):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value", [("C", 2), ("M", 4), ("V", 3)])
+    def test_count_disagreeing_with_its_list_rejected(self, key, value):
+        doc = dict(CWP000_DOC, **{key: value})
+        with pytest.raises(ValidationError, match=f"^{key} must equal "):
+            parse_instance(json.dumps(doc))
+
+    def test_more_new_bar_kinds_than_bars_rejected(self):
+        for v in (-1, 4):
+            doc = dict(CWP000_DOC, W=6, V=v)
+            with pytest.raises(ValidationError, match="^num_bar_kinds must not exceed [^;]*$"):
+                parse_instance(json.dumps(doc))
+
     def test_three_digit_fraction_rejected(self):
         doc = dict(CWP000_DOC)
         doc["molds"] = [5.955, 5.95, 5.95, 5.95, 11.95]
