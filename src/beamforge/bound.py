@@ -39,7 +39,7 @@ class BoundBreakdown:
 
 
 def candidate_ratios(inst: Instance, pats: PatternSet, mold_class: int) -> set[Fraction]:
-    """Weighted waste per bar made, over every producer of the class.
+    """Weighted waste per bar made, over every producer of the class the stock can feed.
 
     Covers new-bar cuts with and without a leftover, leftover-bar cuts, and
     splices.  A cut that makes bars of several classes spreads its waste over
@@ -48,7 +48,7 @@ def candidate_ratios(inst: Instance, pats: PatternSet, mold_class: int) -> set[F
     return {
         p.weighted_waste_per_bar(inst.weights)
         for p in pats.producers
-        if p.item_counts[mold_class - 1] > 0
+        if p.item_counts[mold_class - 1] > 0 and p.fed_by(inst.stock)
     }
 
 

@@ -65,6 +65,14 @@ class BeamType:
         return len(self.lengths)
 
 
+def _curing_work(beam_types) -> int:
+    """Mold length times periods (cm) the demand occupies: the sum of
+    curing time x length x demand over every demanded beam."""
+    return sum(
+        bt.curing_time * sum(l * d for l, d in zip(bt.lengths, bt.demands)) for bt in beam_types
+    )
+
+
 @dataclass
 class Instance:
     """Full problem data for one planning run."""
@@ -127,11 +135,7 @@ class Instance:
     @property
     def min_makespan(self) -> int:
         """Periods every plan takes at least: curing work over total mold length, rounded up."""
-        work = sum(
-            bt.curing_time * sum(l * d for l, d in zip(bt.lengths, bt.demands))
-            for bt in self.beam_types
-        )
-        return -(-work // sum(self.mold_lengths))
+        return -(-_curing_work(self.beam_types) // sum(self.mold_lengths))
 
     @property
     def required_bar_length(self) -> int:
@@ -348,12 +352,8 @@ def generate_instance(seed: int, num_beam_types: int, num_molds: int) -> Instanc
     mold_lengths = [
         SHORT_MOLD_CM if rng.random() < 0.8 else LONG_MOLD_CM for _ in range(num_molds)
     ]
-    work = sum(
-        bt.curing_time * sum(l * d for l, d in zip(bt.lengths, bt.demands))
-        for bt in beam_types
-    )
     capacity = sum(mold_lengths)
-    horizon = -((-3 * work) // (2 * capacity))  # ceil(1.5 * work / capacity)
+    horizon = -((-3 * _curing_work(beam_types)) // (2 * capacity))  # ceil(1.5 work / capacity)
     max_bars = max(bt.bars_per_beam for bt in beam_types)
     upper = 2 * horizon * num_molds * max_bars
     stock = [upper] + [rng.randint(math.ceil(upper / 5), upper) for _ in LEFTOVER_KINDS_CM]

@@ -49,6 +49,10 @@ class Producer:
     def total_items(self) -> int:
         return sum(self.item_counts)
 
+    def fed_by(self, stock) -> bool:
+        """Whether `stock` (per bar kind) holds enough of every kind one use draws."""
+        return all(stock[w - 1] >= n for w, n in self.stock_use)
+
     def weighted_waste_per_bar(self, weights) -> Fraction:
         """Waste (cm) at the bucket's lambda, spread over every bar one use
         makes, whatever its class; exact."""
@@ -112,7 +116,7 @@ class PatternSet:
     at `required_at`, `made_at` and `used_at`.  `zero` is the empty tally.
 
     The ids must run 1..total over packing, cutting and overlapping in that
-    order.  Per pattern id:
+    order; `producers` lists the cuts, then the splices.  Per pattern id:
     - `delta`: the ((slot, coefficient), ...) one use adds; a dict, so an
       unknown id has no entry;
     - `casts`: a packing pattern's (0-based mold class, curing time), None
@@ -138,7 +142,7 @@ class PatternSet:
     kinds: int
 
     def __post_init__(self):
-        producers = self.producers
+        self.producers = producers = self.cutting + self.overlapping
         for pid, p in enumerate(self.packing + producers, start=1):
             if p.id != pid:
                 raise ValueError(
@@ -217,11 +221,6 @@ class PatternSet:
     def __contains__(self, pattern_id: int) -> bool:
         return pattern_id in self.delta
 
-    @property
-    def producers(self) -> list:
-        """Cuts, then splices: every pattern that makes mold-length bars."""
-        return self.cutting + self.overlapping
-
 
 def _fillings(sizes, capacity: int) -> list[tuple[tuple[int, ...], int]]:
     """Every (counts, used) with counts[k] pieces of sizes[k] whose total
@@ -277,22 +276,20 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
     Raise too when the demand needs more periods of mold capacity than the
     horizon (`Instance.min_makespan`), or more bar than the stock holds (no
     cut or splice makes more bar than it uses), or more mold-length bars
-    than the stock makes, or a length that needs bars fits only molds whose
-    bars no producer makes from the stock.  These checks are necessary, not sufficient."""
+    than the stock makes (`_bar_supply`), of all classes and of each class
+    set a length that needs bars fits.  These checks are necessary, not
+    sufficient."""
     pats.check_shape(inst)
-    start = 0  # the beam slot of the type's first length
-    for c, bt in enumerate(inst.beam_types, start=1):
-        if any(bt.demands) and bt.curing_time > inst.horizon:
+    for (c, k), demand, mask in zip(inst.demand_keys, inst.demand, pats.cover):
+        bt = inst.beam_types[c - 1]
+        if demand and bt.curing_time > inst.horizon:
             raise InfeasibleInstanceError(
                 f"beam type {c}: curing {bt.curing_time} exceeds the horizon {inst.horizon}"
             )
-        cover = pats.cover[start : start + bt.num_lengths]
-        start += bt.num_lengths
-        for length, demand, mask in zip(bt.lengths, bt.demands, cover):
-            if demand and not mask:
-                raise InfeasibleInstanceError(
-                    f"beam type {c}: length {cm_to_m(length)} m fits in no mold"
-                )
+        if demand and not mask:
+            raise InfeasibleInstanceError(
+                f"beam type {c}: length {cm_to_m(bt.lengths[k - 1])} m fits in no mold"
+            )
     if inst.min_makespan > inst.horizon:
         raise InfeasibleInstanceError(
             f"the demand needs at least {inst.min_makespan} periods of mold capacity, "
@@ -304,49 +301,51 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
             f"stock holds {cm_to_m(stock)} m of bar, the demand needs "
             f"{cm_to_m(inst.required_bar_length)} m"
         )
-    most, fewest = _most_bars(inst, pats), _fewest_bars(inst, pats)
+    every = frozenset(range(pats.classes))
+    most, fewest = _bar_supply(inst, pats, every)
     if most < fewest:
         raise InfeasibleInstanceError(
             f"stock makes at most {most} mold-length bars, the demand needs {fewest}"
         )
-    producers = {p.id: p for p in pats.producers}
-    supplied = [  # per class: some producer of its bars draws no more than the stock holds
-        any(all(inst.stock[w - 1] >= n for w, n in producers[pid].stock_use) for pid in made)
-        for made in pats.column[pats.made_at : pats.used_at]
-    ]
-    for s, ((c, k), demand) in enumerate(zip(inst.demand_keys, inst.demand)):
-        bt, classes = inst.beam_types[c - 1], sorted({pats.casts[pid][0] for pid in pats.column[s]})
-        if demand and bt.bars_per_beam and not any(supplied[g] for g in classes):
-            molds = " or ".join(str(cm_to_m(inst.distinct_mold_lengths[g])) for g in classes)
+    checked = {every}
+    for (c, k), demand, column in zip(inst.demand_keys, inst.demand, pats.column):
+        bt, fits = inst.beam_types[c - 1], frozenset(pats.casts[pid][0] for pid in column)
+        if not (demand and bt.bars_per_beam) or fits in checked:
+            continue
+        checked.add(fits)
+        most, fewest = _bar_supply(inst, pats, fits)
+        if most < fewest:
+            molds = " or ".join(str(cm_to_m(inst.distinct_mold_lengths[g])) for g in sorted(fits))
+            makes = "no bar for them"
+            if most:
+                makes = f"at most {most} bars for them, the demand needs {fewest}"
             raise InfeasibleInstanceError(
                 f"beam type {c}: length {cm_to_m(bt.lengths[k - 1])} m fits molds of {molds} m, "
-                "and the stock makes no bar for them"
+                f"and the stock makes {makes}"
             )
 
 
-def _most_bars(inst: Instance, pats: PatternSet) -> int:
-    """The most mold-length bars the whole stock can make: each unit of a
-    kind yields at most its richest cut's bars, or half a bar when the kind
-    only feeds splices (two leftovers per bar)."""
+def _bar_supply(inst: Instance, pats: PatternSet, classes) -> tuple[int, int]:
+    """(most, fewest) mold-length bars of the 0-based `classes`.  The most
+    the stock can make: each unit of a kind yields at most the bars per unit
+    drawn of its richest producer that the stock can feed (its cut's bars
+    of those classes, or half a bar for a splice into them).  The fewest any
+    plan needs: per beam type, its bars per cast times the casts its most
+    demanding length that fits only `classes` takes when every cast packs
+    as many beams of that length as one pattern can."""
     halves = [0] * len(inst.stock)  # per kind, twice the bars one unit yields
-    for p in pats.overlapping:
-        for w, _ in p.stock_use:
-            halves[w - 1] = max(halves[w - 1], 1)
-    for p in pats.cutting:
-        halves[p.source_bar - 1] = max(halves[p.source_bar - 1], 2 * p.total_items)
-    return sum(n * h for n, h in zip(inst.stock, halves)) // 2
-
-
-def _fewest_bars(inst: Instance, pats: PatternSet) -> int:
-    """The fewest mold-length bars any plan needs: per beam type, its bars
-    per cast times the casts its most demanding length takes when every cast
-    packs as many beams of that length as one pattern can."""
-    richest = [max(column.values(), default=0) for column in pats.column[: pats.required_at]]
+    for p in pats.producers:
+        made = sum(p.item_counts[g] for g in classes)
+        if made and p.fed_by(inst.stock):
+            units = sum(n for _, n in p.stock_use)
+            for w, _ in p.stock_use:
+                halves[w - 1] = max(halves[w - 1], -(-2 * made // units))
     casts: dict[int, int] = {}  # per beam type
-    for (c, _), d, n in zip(inst.demand_keys, inst.demand, richest):
-        if d:
-            casts[c] = max(casts.get(c, 0), -(-d // n))
-    return sum(inst.beam_types[c - 1].bars_per_beam * n for c, n in casts.items())
+    for (c, _), d, column in zip(inst.demand_keys, inst.demand, pats.column):
+        if d and all(pats.casts[pid][0] in classes for pid in column):
+            casts[c] = max(casts.get(c, 0), -(-d // max(column.values())))
+    most = sum(n * h for n, h in zip(inst.stock, halves)) // 2
+    return most, sum(inst.beam_types[c - 1].bars_per_beam * n for c, n in casts.items())
 
 
 def _cutting_patterns(inst: Instance, first_id: int) -> list[CuttingPattern]:

@@ -220,6 +220,33 @@ class TestWeightedBound:
         assume(result is not None)
         assert check_oracle_result(inst, pats, result).objective_cm >= bound.total_cm
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lengths=st.lists(st.sampled_from([112, 250, 330, 560]), min_size=1, max_size=2, unique=True),
+        demands=st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=2),
+        new_bar=st.sampled_from([1200, 1800, 2000]),
+        weights=st.tuples(*[st.floats(min_value=0.1, max_value=1.0)] * 4),
+        stock=st.lists(st.integers(min_value=0, max_value=3), min_size=5, max_size=5),
+    )
+    def test_oracle_plan_passes_the_gate_under_limited_stock(
+        self, lengths, demands, new_bar, weights, stock
+    ):
+        # The instances above with 0-3 bars of each kind: a plan the oracle
+        # finds passes the structural gate and lies on or above the bound.
+        inst = make_instance(
+            beam_types=[beam_type(lengths, demands[: len(lengths)])],
+            mold_lengths=[595, 595, 1195],
+            horizon=4,
+            bar_lengths=(new_bar, 200, 500, 600, 800),
+            stock=stock,
+            weights=weights,
+        )
+        pats = generate_patterns(inst)
+        result = exhaustive_optimum(inst, pats, max_freq=4, max_genes=4)
+        if result is not None:
+            bound = lower_bound(inst, pats)
+            assert check_oracle_result(inst, pats, result).objective_cm >= bound.total_cm
+
 
 class TestStockPrecheck:
     """The stock, new bars and leftovers, must be at least as long as the
@@ -301,9 +328,10 @@ class TestStockPrecheck:
 
 
 class TestSupplyPrecheck:
-    """A demanded length that needs bars must fit a mold class some producer
-    can make from the stock: one use draws no more than the stock holds.
-    One 8 m length fits only the 11.95 m class."""
+    """The stock must make as many bars of the mold classes a demanded
+    length fits as the lengths that fit only those classes need, counting
+    only producers whose one use draws no more than the stock holds.  One
+    8 m length, demand 2, fits only the 11.95 m class."""
 
     @staticmethod
     def instance(bar_lengths, stock, num_bar_kinds=1, bars=1):
@@ -317,19 +345,25 @@ class TestSupplyPrecheck:
         )
 
     @pytest.mark.parametrize(
-        "bar_lengths, stock, num_bar_kinds",
-        [((600,), (50,), 1),  # no cut makes a long bar
-         ((1200, 600), (0, 50), 2),  # the only long-bar cut draws a kind with no stock
-         ((600, 700, 600), (50, 1, 0), 1)],  # a long-bar splice needs two leftovers
-        ids=["no-producer", "no-stock", "one-leftover"],
+        "bar_lengths, stock, num_bar_kinds, makes",
+        [((600,), (50,), 1, "no bar for them"),  # no cut makes a long bar
+         # the only long-bar cut draws a kind with no stock
+         ((1200, 600), (0, 50), 2, "no bar for them"),
+         # a long-bar splice needs two leftovers
+         ((600, 700, 600), (50, 1, 0), 1, "no bar for them"),
+         # one 12 m bar makes one long bar, the demand needs two
+         ((1200, 600), (1, 50), 2, "at most 1 bars for them, the demand needs 2"),
+         # one 7 m and one 6 m leftover make one long bar by a splice
+         ((600, 700, 600), (50, 1, 1), 1, "at most 1 bars for them, the demand needs 2")],
+        ids=["no-producer", "no-stock", "one-leftover", "one-new-bar", "one-splice"],
     )
-    def test_unsupplied_class_raises(self, bar_lengths, stock, num_bar_kinds):
+    def test_unsupplied_class_raises(self, bar_lengths, stock, num_bar_kinds, makes):
         inst = self.instance(bar_lengths, stock, num_bar_kinds)
         pats = generate_patterns(inst)
         with pytest.raises(InfeasibleInstanceError) as info:
             lower_bound(inst, pats)
         assert str(info.value) == (
-            "beam type 1: length 8.0 m fits molds of 11.95 m, and the stock makes no bar for them"
+            f"beam type 1: length 8.0 m fits molds of 11.95 m, and the stock makes {makes}"
         )
 
     def test_every_class_it_fits_is_named(self):
@@ -352,8 +386,8 @@ class TestSupplyPrecheck:
     @pytest.mark.parametrize(
         "bar_lengths, stock, num_bar_kinds, bars",
         [((600,), (50,), 1, 0),  # a type that needs no bars
-         ((1200, 600), (1, 50), 2, 1),  # one 12 m bar makes a long bar
-         ((600, 700, 600), (50, 1, 1), 1, 1)],  # a splice of two leftovers does
+         ((1200, 600), (2, 50), 2, 1),  # two 12 m bars make the two long bars
+         ((600, 700, 600), (50, 2, 2), 1, 1)],  # splices of two leftovers do
         ids=["no-bars", "one-new-bar", "splice"],
     )
     def test_supplied_class_passes(self, bar_lengths, stock, num_bar_kinds, bars):

@@ -202,14 +202,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["bound", "solve", "bench"])
     @pytest.mark.parametrize(
-        "bars, stock",
+        "bars, stock, makes",
         # One 8.0 m length fits only the 11.95 m molds.  6 m bars make no
-        # 11.95 m bar, and the 12 m bars that would are out of stock.
-        [([6.0], [50]), ([12.0, 6.0], [0, 50])],
-        ids=["no-producer", "no-stock"],
+        # 11.95 m bar, the 12 m bars that would are out of stock, and one
+        # 12 m bar makes one where the demand needs two.
+        [([6.0], [50], "no bar for them"),
+         ([12.0, 6.0], [0, 50], "no bar for them"),
+         ([12.0, 6.0], [1, 50], "at most 1 bars for them, the demand needs 2")],
+        ids=["no-producer", "no-stock", "one-new-bar"],
     )
     def test_mold_class_the_stock_cannot_supply_is_code_two(
-        self, tmp_path, capsys, monkeypatch, command, bars, stock
+        self, tmp_path, capsys, monkeypatch, command, bars, stock, makes
     ):
         def no_search(*args):
             raise AssertionError("the search ran")
@@ -232,7 +235,7 @@ class TestExitCodes:
         named = "instance long: " if command == "bench" else ""
         assert capsys.readouterr().err == (
             f"beamforge: {named}beam type 1: length 8.0 m fits molds of 11.95 m, "
-            "and the stock makes no bar for them\n"
+            f"and the stock makes {makes}\n"
         )
         assert not (tmp_path / "out.txt").exists()
 
@@ -792,6 +795,26 @@ class TestBench:
         assert err.startswith("beamforge: ") and err.count("\n") == 1
         assert "aggregate" in err
         assert not (tmp_path / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"beam_types": [dict(MINI_DOC["beam_types"][0], demands=[0, 0])]},
+         {"lambda": [0, 0, 0, 0]}],
+        ids=["nothing-demanded", "zero-lambda"],
+    )
+    def test_zero_lower_bound_is_validation_error(self, tmp_path, capsys, change):
+        # LBD divides by the lower bound, so a valid instance whose bound is
+        # 0 cannot be benchmarked.
+        folder = tmp_path / "instances"
+        folder.mkdir()
+        (folder / "x.json").write_text(json.dumps(dict(MINI_DOC, **change)))
+        out = tmp_path / "res.csv"
+        assert dispatch(
+            ["bench", "--instances", str(folder), "--reps", "1", "--seed", "1",
+             "--out", str(out), "--trials", "4", "--no-timing"]
+        ) == 1
+        assert capsys.readouterr().err == "beamforge: instance x: lower bound must be positive\n"
+        assert not out.exists()
 
     def test_empty_dir_is_code_two(self, tmp_path):
         empty = tmp_path / "none"
