@@ -106,8 +106,7 @@ def render_gantt(schedule, pats, horizon: int) -> str:
     for starts in schedule.assignments:
         row = ["."] * horizon
         for pid, start in starts:
-            _, duration = pats.casts[pid]
-            for t in range(start - 1, start - 1 + duration):
+            for t in range(start - 1, start - 1 + pats.casts[pid].duration):
                 row[t] = _B36[pid % 36]
         lines.append("".join(row))
     return "\n".join(lines) + "\n"
@@ -165,7 +164,7 @@ def _cmd_solve(args) -> int:
         "breakdown": list(schedule.objective_breakdown),
         "gantt": [
             [
-                {"pattern": pid, "start": start, "duration": pats.casts[pid][1]}
+                {"pattern": pid, "start": start, "duration": pats.casts[pid].duration}
                 for pid, start in starts
             ]
             for starts in schedule.assignments

@@ -282,8 +282,7 @@ def _place_genes(ch: Chromosome, inst: Instance, pats: PatternSet, assignments=N
         cast = casts[pid]
         if cast is None:
             continue
-        mold_class, duration = cast
-        table = tables[mold_class]
+        table, duration = tables[cast.mold_class], cast.duration
         starts = None if assignments is None else []
         if place(table, duration, freq, horizon, starts) < freq:
             raise HorizonError(
@@ -312,7 +311,7 @@ def makespan_floor(ch: Chromosome, inst: Instance, pats: PatternSet) -> int:
     for pid, freq in ch.genes:
         cast = casts[pid]
         if cast is not None:
-            g, duration = cast
+            g, duration = cast.mold_class, cast.duration
             load[g] += duration * freq
             count[g] += freq
             if duration < shortest[g]:
@@ -391,7 +390,7 @@ def _min_makespan_order(genes: list[Gene], inst: Instance, pats: PatternSet, tic
     worst = 0
     casts, horizon = pats.casts, inst.horizon
     for g, molds in enumerate(inst.class_molds):
-        class_genes = [gene for gene in genes if casts[gene[0]][0] == g]
+        class_genes = [gene for gene in genes if casts[gene[0]].mold_class == g]
         if not class_genes:
             continue
         floor = makespan_floor(Chromosome(class_genes), inst, pats)
@@ -400,7 +399,7 @@ def _min_makespan_order(genes: list[Gene], inst: Instance, pats: PatternSet, tic
             tick()
             table = MoldLevels(molds, horizon)
             for pid, freq in perm:
-                if place(table, casts[pid][1], freq, horizon) < freq:
+                if place(table, casts[pid].duration, freq, horizon) < freq:
                     break  # a cast ends after the horizon: skip the order
             else:
                 makespan = table.high
@@ -444,7 +443,7 @@ def _min_waste_plan(
             if waste + sum(map(mul, deficit, ratios)) >= best[0]:
                 return
         p = producers[idx]
-        cost = weights[p.bucket] * p.waste / 100.0
+        cost = p.cost(weights)
         # Frequencies high-to-low so complete plans appear early.
         for freq in range(min(max_freq, tally.room(p.id)), 0, -1):
             tally.add(p.id, freq)
@@ -485,7 +484,7 @@ def exhaustive_optimum(
         float(min(candidate_ratios(inst, pats, g), default=0) / 100)
         for g in range(1, inst.num_mold_classes + 1)
     ]
-    packing, l1 = pats.packing, inst.weights[0]
+    packing, l1 = pats.casts[1 : pats.num_packing + 1], inst.weights[0]
     capacity = [len(molds) * inst.horizon for molds in inst.class_molds]
     load = [0] * inst.num_mold_classes
     genes: list[Gene] = []
@@ -513,7 +512,7 @@ def exhaustive_optimum(
         if idx == len(packing) or len(genes) >= max_genes:
             return
         p = packing[idx]
-        g = p.mold_class - 1
+        g = p.mold_class
         for freq in range(1, min(max_freq, (capacity[g] - load[g]) // p.duration) + 1):
             tally.add(p.id, freq)
             load[g] += p.duration * freq

@@ -161,7 +161,7 @@ def random_solution(
     short = {s for s, d in enumerate(demand) if d > 0}  # beam slots
     if tables is None:
         tables = mold_levels(inst)
-    draws, horizon = pats.draws, inst.horizon
+    casts, horizon = pats.casts, inst.horizon
     # The patterns whose class can still place them: mold loads only grow,
     # so once a pattern places fewer uses than wanted, every pattern of its
     # class that cures as long or longer would place 0.
@@ -179,23 +179,23 @@ def random_solution(
             live |= reach
         for _ in range(rng.randrange(live.bit_count())):
             live &= live - 1
-        pid, g, duration, lengths, blocks = draws[(live & -live).bit_length() - 1]
+        cast = casts[(live & -live).bit_length()]
         wanted = 0
-        for s, count in lengths:
+        for s, count in cast.packs:
             if s in short:
                 uses = -(-(demand[s] - counts[s]) // count)
                 if uses > wanted:
                     wanted = uses
         # Cap the uses so each one still finishes within the horizon.
-        freq = place(tables[g], duration, wanted, horizon)
+        freq = place(tables[cast.mold_class], cast.duration, wanted, horizon)
         if freq < wanted:
-            allowed &= ~blocks
+            allowed &= ~cast.blocks
         if freq == 0:
             continue
-        genes.append((pid, freq))
-        for slot, coefficient in delta[pid]:
+        genes.append((cast.id, freq))
+        for slot, coefficient in delta[cast.id]:
             counts[slot] += coefficient * freq
-        for s, _ in lengths:
+        for s, _ in cast.packs:
             if counts[s] >= demand[s]:
                 short.discard(s)
     return _supply_bars(genes, tally, rng)
@@ -244,12 +244,12 @@ def _trim_packing_surplus(genes, tally):
     the demand covered given every other gene: by the whole uses that every
     length it packs has to spare."""
     counts, demand, pats = tally.counts, tally.demand, tally.pats
-    draws, num_packing = pats.draws, pats.num_packing
+    casts, num_packing = pats.casts, pats.num_packing
     for i, (pid, freq) in enumerate(genes):
         if pid > num_packing or freq == 0:
             continue
         spare = freq
-        for s, count in draws[pid - 1].packs:
+        for s, count in casts[pid].packs:
             uses = (counts[s] - demand[s]) // count
             if uses < spare:
                 spare = uses

@@ -148,7 +148,7 @@ class IlpModel:
             (i, m, t)
             for m, ids in enumerate(self.x_ids, start=1)
             for i in ids[1:]
-            for t in range(in_time(casts[i][1], T) + 1, T + 1)
+            for t in range(in_time(casts[i].duration, T) + 1, T + 1)
         }
 
     @property
@@ -195,7 +195,8 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
     T, M, R = inst.horizon, inst.num_molds, inst.max_curing_time
     W, V = inst.num_bar_kinds, inst.num_leftover_kinds
     classes = range(1, inst.num_mold_classes + 1)
-    by_class = [[0, *(p.id for p in pats.packing if p.mold_class == g)] for g in classes]
+    packing = pats.casts[1 : pats.num_packing + 1]
+    by_class = [[0, *(c.id for c in packing if c.mold_class == g - 1)] for g in classes]
     x_ids = [by_class[g - 1] for g in inst.mold_classes]
     x_base = list(accumulate((T * len(ids) for ids in x_ids), initial=0))
     model = IlpModel(inst, pats, x_ids, x_base)
@@ -204,7 +205,7 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
     col = _ints(range(model.num_columns))
     # Per mold: its first x column, its slot width and (slot position, id,
     # curing time) per packing pattern.
-    casts = [[(pos, i, pats.casts[i][1]) for pos, i in enumerate(ids) if pos] for ids in x_ids]
+    casts = [[(pos, i, pats.casts[i].duration) for pos, i in enumerate(ids) if i] for ids in x_ids]
     molds = list(zip(x_base, map(len, x_ids), casts))
 
     # Terms per tally slot, from each pattern's `delta`: producers in column
@@ -316,7 +317,7 @@ def build_model(inst: Instance, pats: PatternSet) -> IlpModel:
 
     objective = [(inst.weights[0] * 1.0, z_base + t - 1) for t in model.z_keys]
     for j, p in enumerate(pats.producers, start=producer_base):
-        objective.append((inst.weights[p.bucket] * (p.waste / 100.0), j))
+        objective.append((p.cost(inst.weights), j))
     model.objective = objective
     return model
 
@@ -392,8 +393,7 @@ def induced_assignment(model: IlpModel, ch: Chromosome) -> list[int]:
         width = len(ids)
         for pid, start in starts:
             values[base + (start - 1) * width + ids.index(pid)] = 1
-            _, duration = pats.casts[pid]
-            for t in range(start, start + duration - 1):
+            for t in range(start, start + pats.casts[pid].duration - 1):
                 values[base + t * width] = 1  # hold marker of period t + 1
     z_base = model.x_base[-1]
     values[z_base : z_base + schedule.makespan] = [1] * schedule.makespan

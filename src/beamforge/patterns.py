@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DimensionMismatchError, InfeasibleInstanceError
 from .instance import Instance, cm_to_m
@@ -53,6 +52,10 @@ class Producer:
         """Whether `stock` (per bar kind) holds enough of every kind one use draws."""
         return all(stock[w - 1] >= n for w, n in self.stock_use)
 
+    def cost(self, weights) -> float:
+        """What one use costs in the objective: its waste (m) at its bucket's lambda."""
+        return weights[self.bucket] * (self.waste / 100.0)
+
     def weighted_waste_per_bar(self, weights) -> Fraction:
         """Waste (cm) at the bucket's lambda, spread over every bar one use
         makes, whatever its class; exact."""
@@ -93,12 +96,15 @@ class OverlappingPattern(Producer):
     bucket: int = REUSE
 
 
-class DrawRecord(NamedTuple):
-    """What construction reads of one packing pattern per pick."""
+@dataclass(slots=True)
+class Cast:
+    """The one record of a packing pattern that the decoder, construction,
+    repair, the oracle, the structural gate and the ILP read; slotted, since
+    a NamedTuple misses CPython's exact-tuple fast paths on the hot reads."""
 
     id: int
     mold_class: int  # 0-based
-    duration: int
+    duration: int  # periods
     packs: tuple[tuple[int, int], ...]  # (beam slot, count) of each length it packs
     blocks: int  # mask of the patterns of its class that cure at least as long
 
@@ -119,8 +125,9 @@ class PatternSet:
     order; `producers` lists the cuts, then the splices.  Per pattern id:
     - `delta`: the ((slot, coefficient), ...) one use adds; a dict, so an
       unknown id has no entry;
-    - `casts`: a packing pattern's (0-based mold class, curing time), None
-      for a producer;
+    - `casts`: a packing pattern's `Cast`, the one record of its 0-based
+      mold class, curing time, (beam slot, count) packs and blocking mask,
+      None for a producer;
     - `wastes`: a producer's (waste bucket, waste cm), (0, 0) for a packing
       pattern, whose waste no bucket takes.
     The lists are indexed by id, entry 0 unused.  `column` is the transpose
@@ -130,8 +137,8 @@ class PatternSet:
     its class; ids from `first_splice` on are splices.  Per class (0-based),
     `makers` gives {id: bars per use} of the producers that make that class
     alone.  For construction, `cover` is per beam slot the mask of the
-    packing patterns that pack it, bit i standing for packing[i], and
-    `draws` per packing index its `DrawRecord`.
+    packing patterns that pack it; in it and in a cast's `blocks`, bit i
+    stands for pattern id i + 1.
     """
 
     packing: list[PackingPattern]
@@ -160,22 +167,17 @@ class PatternSet:
         self.makers = [{} for _ in range(self.classes)]
         self.first_splice = self.num_packing + self.num_cutting + 1
         slot = {key: s for s, key in enumerate(self.keys)}
-        blocks: dict[tuple[int, int], int] = {}  # per (class, curing time)
-        for p in self.packing:
-            key = (p.mold_class, p.duration)
-            if key not in blocks:
-                blocks[key] = sum(
-                    1 << j
-                    for j, q in enumerate(self.packing)
-                    if q.mold_class == p.mold_class and q.duration >= p.duration
-                )
-        self.draws = []
+        blocks = {  # per (class, curing time d): mask of the class's patterns curing d or longer
+            (g, d): sum(
+                1 << (q.id - 1) for q in self.packing if q.mold_class == g and q.duration >= d
+            )
+            for g, d in {(p.mold_class, p.duration) for p in self.packing}
+        }
         for p in self.packing:
             packs = tuple((slot[p.beam_type, k], n) for k, n in enumerate(p.counts, start=1) if n)
-            self.casts[p.id] = (p.mold_class - 1, p.duration)
-            self.delta[p.id] = (*packs, (required_at + p.mold_class - 1, p.bars))
-            block = blocks[p.mold_class, p.duration]
-            self.draws.append(DrawRecord(p.id, p.mold_class - 1, p.duration, packs, block))
+            g = p.mold_class - 1
+            self.casts[p.id] = Cast(p.id, g, p.duration, packs, blocks[p.mold_class, p.duration])
+            self.delta[p.id] = (*packs, (required_at + g, p.bars))
         for p in producers:
             made = [(g, n) for g, n in enumerate(p.item_counts) if n]  # 0-based classes
             self.delta[p.id] = (
@@ -280,13 +282,13 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
     set a length that needs bars fits.  These checks are necessary, not
     sufficient."""
     pats.check_shape(inst)
-    for (c, k), demand, mask in zip(inst.demand_keys, inst.demand, pats.cover):
+    for (c, k), demand, column in zip(inst.demand_keys, inst.demand, pats.column):
         bt = inst.beam_types[c - 1]
         if demand and bt.curing_time > inst.horizon:
             raise InfeasibleInstanceError(
                 f"beam type {c}: curing {bt.curing_time} exceeds the horizon {inst.horizon}"
             )
-        if demand and not mask:
+        if demand and not column:
             raise InfeasibleInstanceError(
                 f"beam type {c}: length {cm_to_m(bt.lengths[k - 1])} m fits in no mold"
             )
@@ -309,7 +311,7 @@ def require_castable(inst: Instance, pats: PatternSet) -> None:
         )
     checked = {every}
     for (c, k), demand, column in zip(inst.demand_keys, inst.demand, pats.column):
-        bt, fits = inst.beam_types[c - 1], frozenset(pats.casts[pid][0] for pid in column)
+        bt, fits = inst.beam_types[c - 1], frozenset(pats.casts[pid].mold_class for pid in column)
         if not (demand and bt.bars_per_beam) or fits in checked:
             continue
         checked.add(fits)
@@ -342,7 +344,7 @@ def _bar_supply(inst: Instance, pats: PatternSet, classes) -> tuple[int, int]:
                 halves[w - 1] = max(halves[w - 1], -(-2 * made // units))
     casts: dict[int, int] = {}  # per beam type
     for (c, _), d, column in zip(inst.demand_keys, inst.demand, pats.column):
-        if d and all(pats.casts[pid][0] in classes for pid in column):
+        if d and all(pats.casts[pid].mold_class in classes for pid in column):
             casts[c] = max(casts.get(c, 0), -(-d // max(column.values())))
     most = sum(n * h for n, h in zip(inst.stock, halves)) // 2
     return most, sum(inst.beam_types[c - 1].bars_per_beam * n for c, n in casts.items())

@@ -247,7 +247,7 @@ def pop_and_skip_solution(inst, pats, rng):
         if not unpicked:
             return None
         pattern = unpicked.pop(rng.randrange(len(unpicked)))
-        lengths = dict(pats.draws[pattern.id - 1].packs)
+        lengths = dict(pats.casts[pattern.id].packs)
         g = pattern.mold_class - 1
         if short.isdisjoint(lengths) or pattern.duration >= blocked[g]:
             continue

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -401,6 +402,29 @@ class TestDistinctWeights:
         assert assignment_objective(model, assignment) == value
         assert len(assignment) == len(model.names)
         assert sum(coeff * assignment[j] for coeff, j in model.objective) == value
+
+    def test_producer_cost_is_the_objective_rule(self, weighted):
+        # `Producer.cost` is each producer's LP objective coefficient, and over
+        # a plan's producer genes it sums to the waste terms of
+        # `weighted_objective`, the sums the oracle prunes on.
+        rng = random.Random(0)
+        weights = tuple(rng.uniform(0.1, 1.0) for _ in range(4))
+        generated = dataclasses.replace(generate_instance(7, 2, 15), weights=weights)
+        for inst, pats in (weighted, (generated, generate_patterns(generated))):
+            model = build_model(inst, pats)
+            coefficients = {j: c for c, j in model.objective}
+            for j, p in enumerate(pats.producers, start=model.producer_base):
+                assert coefficients[j] == p.cost(inst.weights)
+            by_id = {p.id: p for p in pats.producers}
+            accepted = 0
+            while accepted < 200:
+                ch = random_solution(inst, pats, rng)
+                if ch is None:
+                    continue
+                accepted += 1
+                cost = sum(by_id[i].cost(inst.weights) * n for i, n in ch.genes if i in by_id)
+                _, schedule = evaluate(ch, inst, pats)
+                assert cost == pytest.approx(sum(schedule.objective_breakdown[1:]), abs=1e-9)
 
     def test_oracle_value(self, weighted):
         # 1.5 * 2 + 0.7 * 0.30: two periods and 30 cm of new-bar waste.

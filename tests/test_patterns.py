@@ -236,16 +236,19 @@ class TestDrawIndex:
                     for i, p in enumerate(pats.packing)
                     if p.beam_type == key[0] and p.counts[key[1] - 1]
                 }
-            assert len(pats.draws) == pats.num_packing
-            for p, draw in zip(pats.packing, pats.draws):
-                assert draw.id == p.id
-                assert (draw.mold_class, draw.duration) == (p.mold_class - 1, p.duration)
-                assert draw.packs == tuple(
+            assert len(pats.casts) == pats.total + 1
+            assert pats.casts[0] is None
+            assert all(pats.casts[p.id] is None for p in pats.producers)
+            for p in pats.packing:
+                cast = pats.casts[p.id]
+                assert cast.id == p.id
+                assert (cast.mold_class, cast.duration) == (p.mold_class - 1, p.duration)
+                assert cast.packs == tuple(
                     (pats.keys.index((p.beam_type, k)), n)
                     for k, n in enumerate(p.counts, start=1)
                     if n
                 )
-                assert bits(draw.blocks) == {
+                assert bits(cast.blocks) == {
                     i
                     for i, q in enumerate(pats.packing)
                     if q.mold_class == p.mold_class and q.duration >= p.duration
@@ -306,7 +309,7 @@ def test_every_pattern_table_is_read():
         and isinstance(node.ctx, ast.Load)
         and id(node) not in inside
     }
-    assert {"delta", "casts", "draws"} <= built
+    assert {"delta", "casts"} <= built and "draws" not in built
     assert sorted(built - read) == []
 
 
