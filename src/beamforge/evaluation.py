@@ -213,10 +213,20 @@ class MoldLevels:
     at that load in ascending index order, for loads 0..horizon; `low` and
     `high` are the lowest and highest load of any mold."""
 
-    __slots__ = ("levels", "low", "high")
+    __slots__ = ("molds", "levels", "low", "high")
 
     def __init__(self, molds, horizon: int):
+        self.molds = molds
         self.levels = [list(molds)] + [[] for _ in range(horizon)]
+        self.low = self.high = 0
+
+    def clear(self) -> None:
+        """Empty every mold again, as a fresh table: only the loads from
+        `low` to `high` can hold molds."""
+        levels = self.levels
+        for load in range(self.low, self.high + 1):
+            levels[load] = []
+        levels[0] = list(self.molds)
         self.low = self.high = 0
 
 

@@ -139,6 +139,32 @@ class GaResult:
 
 # -- pseudo-random construction --------------------------------------------
 
+# _BYTE_SELECT[b][k]: the position of the k-th lowest set bit of the byte b.
+_BYTE_SELECT = [[i for i in range(8) if b >> i & 1] for b in range(256)]
+
+
+def _select_bit(mask: int, k: int) -> int:
+    """The position of the k-th lowest set bit (k from 0) of `mask`, which
+    has more than k set bits: whole 32-bit words and then whole bytes are
+    skipped by their bit counts, and a table picks the bit in its byte."""
+    shift = 0
+    word = mask & 0xFFFFFFFF
+    n = word.bit_count()
+    while k >= n:
+        k -= n
+        shift += 32
+        word = mask >> shift & 0xFFFFFFFF
+        n = word.bit_count()
+    byte = word & 0xFF
+    n = byte.bit_count()
+    while k >= n:
+        k -= n
+        shift += 8
+        word >>= 8
+        byte = word & 0xFF
+        n = byte.bit_count()
+    return shift + _BYTE_SELECT[byte][k]
+
 
 def random_solution(
     inst: Instance, pats: PatternSet, rng: random.Random, tables=None
@@ -177,9 +203,8 @@ def random_solution(
             if not reach:
                 return None  # no pattern left can cover this length
             live |= reach
-        for _ in range(rng.randrange(live.bit_count())):
-            live &= live - 1
-        cast = casts[(live & -live).bit_length()]
+        # Bit i stands for pattern id i + 1.
+        cast = casts[_select_bit(live, rng.randrange(live.bit_count())) + 1]
         wanted = 0
         for s, count in cast.packs:
             if s in short:
@@ -355,22 +380,22 @@ def repair(ch: Chromosome, inst: Instance, pats: PatternSet) -> Chromosome | Non
 # -- variation operators ------------------------------------------------------
 
 
-def _gene_union(a: Chromosome, b: Chromosome):
-    """(pattern id, frequency in a, frequency in b) over the genes of either
-    parent, 0 where a parent lacks the gene: a's genes in order, then b's
-    new ones in order."""
-    fb = dict(b.genes)
-    for pid, fa in a.genes:
-        yield pid, fa, fb.pop(pid, 0)
-    for pid, freq in fb.items():
-        yield pid, 0, freq
-
-
 def mean_union_genes(a: Chromosome, b: Chromosome, mut: float, rng: random.Random) -> list[Gene]:
-    """Gene union with rounded-up mean frequencies and per-gene zeroing."""
+    """Gene union with rounded-up mean frequencies and per-gene zeroing.
+
+    The union is a's genes in order, then b's new ones in order; a parent
+    that lacks a gene counts 0 for it.
+    """
+    fb = dict(b.genes)
     genes = []
-    for pid, fa, fb in _gene_union(a, b):
-        freq = -(-(fa + fb) // 2)
+    for pid, fa in a.genes:
+        freq = -(-(fa + fb.pop(pid, 0)) // 2)
+        if mut > 0 and rng.random() < mut:
+            freq = 0
+        if freq > 0:
+            genes.append((pid, freq))
+    for pid, freq in fb.items():
+        freq = -(-freq // 2)
         if mut > 0 and rng.random() < mut:
             freq = 0
         if freq > 0:
@@ -379,14 +404,20 @@ def mean_union_genes(a: Chromosome, b: Chromosome, mut: float, rng: random.Rando
 
 
 def coin_union_genes(a: Chromosome, b: Chromosome, rng: random.Random) -> list[Gene]:
-    """Shared genes get the rounded-up mean; single-parent genes flip a coin."""
+    """Shared genes get the rounded-up mean; single-parent genes flip a coin.
+    The union is ordered as in `mean_union_genes`."""
+    fb = dict(b.genes)
     genes = []
-    for pid, fa, fb in _gene_union(a, b):
-        if fa and fb:
-            freq = -(-(fa + fb) // 2)
+    for pid, fa in a.genes:
+        other = fb.pop(pid, 0)
+        if fa and other:
+            freq = -(-(fa + other) // 2)
         else:
-            freq = (fa or fb) if rng.random() < 0.5 else 0
+            freq = (fa or other) if rng.random() < 0.5 else 0
         if freq > 0:
+            genes.append((pid, freq))
+    for pid, freq in fb.items():
+        if rng.random() < 0.5 and freq > 0:
             genes.append((pid, freq))
     return genes
 
@@ -489,11 +520,14 @@ def _ranked(candidates, size: int, rejected: int) -> Population:
 
 
 def _draw_population(params, members, fitnesses, inst, pats, rng) -> Population:
-    """Rank the given members and `construction_pool` fresh draws (`_ranked`)."""
+    """Rank the given members and `construction_pool` fresh draws (`_ranked`).
+    The draws share one set of level tables, emptied before each draw."""
     candidates = list(zip(members, fitnesses))
     rejected = 0
+    tables = mold_levels(inst)
     for _ in range(params.construction_pool):
-        tables = mold_levels(inst)
+        for table in tables:
+            table.clear()
         ch = random_solution(inst, pats, rng, tables)
         if ch is None:
             rejected += 1

@@ -16,10 +16,11 @@ column, in column order.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, repeat
-from operator import eq, ge, le, mul
+from itertools import accumulate, compress, repeat
+from operator import eq, ge, le, mul, ne
 
 from .errors import DimensionMismatchError
 from .evaluation import (
@@ -167,7 +168,13 @@ class IlpModel:
     @cached_property
     def names(self) -> list[str]:
         """One per column: x, then z, then producers."""
-        names = [_xname(*key) for key in self.x_keys]
+        names = []
+        periods = range(1, self.inst.horizon + 1)
+        for m, ids in enumerate(self.x_ids, start=1):
+            heads = [f"x_{i}" for i in ids]
+            for t in periods:
+                suffix = f"_{m}_{t}"
+                names += [head + suffix for head in heads]
         names += [f"z_{t}" for t in self.z_keys]
         names += [_producer_name(p) for p in self.pats.producers]
         return names
@@ -421,16 +428,23 @@ def check_assignment(model: IlpModel, values: list[int]) -> list[Violation]:
         raise DimensionMismatchError(
             f"the assignment has {len(values)} values, the model {model.num_columns} columns"
         )
-    pats = model.pats
-    z_base, producer_base = model.x_base[-1], model.producer_base
-    fixed = model.fixed_zero
+    pats, T = model.pats, model.inst.horizon
+    x_base, x_ids = model.x_base, model.x_ids
+    z_base, producer_base = x_base[-1], model.producer_base
 
     violations: list[Violation] = []
-    for key, value in zip(model.x_keys, values):
+    # A zero x value breaks no domain, so only the others are keyed.
+    for j in compress(range(z_base), map(ne, values, repeat(0, z_base))):
+        value = values[j]
+        m = bisect_right(x_base, j)
+        ids = x_ids[m - 1]
+        t, pos = divmod(j - x_base[m - 1], len(ids))
+        i = ids[pos]
+        key = (i, m, t + 1)
         if value not in (0, 1):
             detail = f"{_xname(*key)} must be binary, got {value}"
             violations.append(Violation("domain", key, detail))
-        elif value and key in fixed:
+        elif i and t >= in_time(pats.casts[i].duration, T):
             detail = f"{_xname(*key)} is fixed to 0 (cannot finish in the horizon)"
             violations.append(Violation("domain", key, detail))
     for t, value in zip(model.z_keys, values[z_base:producer_base]):

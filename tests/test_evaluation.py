@@ -18,6 +18,7 @@ from beamforge.errors import (
 )
 from beamforge.evaluation import (
     Chromosome,
+    MoldLevels,
     Tally,
     classify_infeasibility,
     decode_schedule,
@@ -180,6 +181,25 @@ class TestPlacement:
             assert starts == heap_place(heap, duration, uses, inst.horizon)
             assert placed == len(starts)
         assert levels_of(table) == sorted(heap)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_clear_restores_a_fresh_table(self, two_class, data):
+        # Construction reuses one table per class across draws; after any
+        # placements, clear() must leave what a fresh table holds.
+        inst, _ = two_class
+        g = data.draw(st.sampled_from(range(inst.num_mold_classes)))
+        molds, horizon = inst.class_molds[g], inst.horizon
+        table = MoldLevels(molds, horizon)
+        for _ in range(data.draw(st.integers(1, 3))):
+            calls = data.draw(
+                st.lists(st.tuples(st.integers(1, horizon), st.integers(0, 40)), max_size=8)
+            )
+            for duration, uses in calls:
+                place(table, duration, uses, horizon)
+            table.clear()
+            fresh = MoldLevels(molds, horizon)
+            assert (table.levels, table.low, table.high) == (fresh.levels, fresh.low, fresh.high)
 
     def test_horizon_stop_after_crossing_levels(self):
         # Five molds, horizon 4.  Three casts of 2 periods take part of level

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamforge import ga
 from beamforge.evaluation import (
@@ -178,6 +180,23 @@ class TestConstruction:
         digest = hashlib.sha256(repr([batch]).encode()).hexdigest()
         assert digest == "fc7eec71c9d9d910a71ebace779a6189ebc475530be15b54cd9327f4c61e2d99"
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mask=st.integers(1, (1 << 700) - 1)
+        | st.lists(st.sampled_from([0, 1, 0x80, 0xFF]) | st.integers(0, 255), min_size=1, max_size=88)
+        .map(lambda octets: int.from_bytes(bytes(octets), "little"))
+        .filter(bool)
+    )
+    @example(mask=(1 << 700) - 1)
+    @example(mask=(1 << 64) | (1 << 40) | (1 << 32) | (1 << 31) | (1 << 8) | (1 << 7))
+    def test_select_bit_is_the_kth_lowest_set_bit(self, mask):
+        # Every k, on masks whose set bits fill or skip whole bytes and
+        # 32-bit words, so k meets every byte and word boundary.
+        rest = mask
+        for k in range(mask.bit_count()):
+            assert ga._select_bit(mask, k) == (rest & -rest).bit_length() - 1, k
+            rest &= rest - 1
 
     def test_every_construction_scores(self, instance_pair):
         # Population draws score accepted plans without a HorizonError guard.
@@ -535,6 +554,46 @@ class TestInitPopulation:
         assert pop.members and len(valued) == pool - pop.rejected_constructions > 0
         for ch, value in valued:
             assert value.hex() == score(ch, inst, pats).hex()
+
+    @pytest.mark.parametrize(
+        "args, pool", [((7, 2, 15), 1200), ((23, 2, 15), 300)], ids=["7-2-15", "23-2-15"]
+    )
+    def test_reused_tables_change_no_draw(self, monkeypatch, args, pool):
+        # One set of level tables, emptied between draws, must give the
+        # draws, values and generator state of fresh tables for every draw.
+        inst = generate_instance(*args)
+        pats = generate_patterns(inst)
+        rng = random.Random(9)
+        plans, values, rejected = [], [], 0
+        for _ in range(pool):
+            tables = mold_levels(inst)
+            ch = random_solution(inst, pats, rng, tables)
+            plans.append(ch)
+            if ch is None:
+                rejected += 1
+            else:
+                makespan = max(table.high for table in tables)
+                values.append(ga.score_at_makespan(ch, inst, pats, makespan))
+        drawn, valued = [], []
+
+        def drawing(*args):
+            drawn.append(real_draw(*args))
+            return drawn[-1]
+
+        def valuing(*args):
+            valued.append(real_value(*args))
+            return valued[-1]
+
+        real_draw, real_value = ga.random_solution, ga.score_at_makespan
+        monkeypatch.setattr(ga, "random_solution", drawing)
+        monkeypatch.setattr(ga, "score_at_makespan", valuing)
+        reused = random.Random(9)
+        params = GaParams(population_size=25, construction_pool=pool)
+        pop = ga._draw_population(params, [], [], inst, pats, reused)
+        assert drawn == plans
+        assert [v.hex() for v in valued] == [v.hex() for v in values]
+        assert pop.rejected_constructions == rejected < pool
+        assert reused.getstate() == rng.getstate()
 
     def test_infeasible_instance_raises(self):
         inst = make_instance(
