@@ -79,6 +79,15 @@ def feasible_and_schedulable(ch, inst, pats):
     return True
 
 
+# Masks of up to 696 bits from bytes that are often empty, full or a single
+# edge bit, so that set bits fill and skip whole bytes and 32-bit words.
+BYTE_MASKS = (
+    st.lists(st.sampled_from([0, 1, 0x80, 0xFF]) | st.integers(0, 255), min_size=1, max_size=87)
+    .map(lambda octets: int.from_bytes(bytes(octets), "little"))
+    .filter(bool)
+)
+
+
 @pytest.fixture(scope="module", params=["cwp000", "two-class"])
 def instance_pair(request, cwp000, cwp000_patterns):
     if request.param == "cwp000":
@@ -182,17 +191,13 @@ class TestConstruction:
 
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        mask=st.integers(1, (1 << 700) - 1)
-        | st.lists(st.sampled_from([0, 1, 0x80, 0xFF]) | st.integers(0, 255), min_size=1, max_size=88)
-        .map(lambda octets: int.from_bytes(bytes(octets), "little"))
-        .filter(bool)
-    )
+    @given(mask=st.integers(1, (1 << 700) - 1) | BYTE_MASKS)
     @example(mask=(1 << 700) - 1)
     @example(mask=(1 << 64) | (1 << 40) | (1 << 32) | (1 << 31) | (1 << 8) | (1 << 7))
     def test_select_bit_is_the_kth_lowest_set_bit(self, mask):
-        # Every k, on masks whose set bits fill or skip whole bytes and
-        # 32-bit words, so k meets every byte and word boundary.
+        # Every k, on masks of 1-700 bits, so k meets byte and word
+        # boundaries; the select must pick the bit that clearing the
+        # lowest set bit k times leaves lowest.
         rest = mask
         for k in range(mask.bit_count()):
             assert ga._select_bit(mask, k) == (rest & -rest).bit_length() - 1, k
