@@ -119,6 +119,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_patterns(args) -> int:
+    _check_writable(args.out)
     inst = load_instance(args.instance)
     pats = generate_patterns(inst)
     _write(json.dumps(_patterns_doc(pats)) + "\n", args.out)
@@ -126,6 +127,7 @@ def _cmd_patterns(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    _check_writable(args.out)
     inst = load_instance(args.instance)
     pats = generate_patterns(inst)
     breakdown = lower_bound(inst, pats)
@@ -141,9 +143,14 @@ def _cmd_bound(args) -> int:
 def _cmd_emit_lp(args) -> int:
     from .ilp import build_model, emit_lp
 
+    _check_writable(args.out)
     inst = load_instance(args.instance)
-    pats = generate_patterns(inst)
-    _write(emit_lp(build_model(inst, pats)), args.out)
+    model = build_model(inst, generate_patterns(inst))
+    if args.out is None:
+        emit_lp(model, sys.stdout.write)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            emit_lp(model, fh.write)
     return 0
 
 

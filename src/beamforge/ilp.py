@@ -9,17 +9,20 @@ Constraint rows come in blocks of one group and sense, each holding the
 integer coefficients and column ids of all its rows in one flat pair of
 arrays; lengths appear solely in the objective, as meters.  The demand,
 stock and bar-balance rows sum per tally slot what each pattern's
-`PatternSet.delta` adds.  An assignment is a column vector: one value per
-column, in column order.
+`PatternSet.delta` adds.  `emit_lp` writes the LP text in chunks, one write
+per row block, so the whole file is never held in memory.  An assignment is a
+column vector: one value per column, in column order.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, repeat
+from numbers import Real
 from operator import eq, ge, le, mul, ne
 
 from .errors import DimensionMismatchError
@@ -346,8 +349,10 @@ class _Prefixes(dict):
         return text
 
 
-def emit_lp(model: IlpModel) -> str:
-    """Serialize to LP file format; byte-identical across emissions."""
+def emit_lp(model: IlpModel, write: Callable[[str], object]) -> None:
+    """Serialize to LP file format through `write`, one call for the header
+    and objective, one per row block, and one each for the bounds, the
+    binaries, the generals and the end; byte-identical across emissions."""
     names = model.names
     anchor = names[0] if names else "z_1"
     plus = [" + " + name for name in names]
@@ -367,24 +372,39 @@ def emit_lp(model: IlpModel) -> str:
         # A leading " + " goes; a leading minus keeps its sign: "- x".
         return text[3:] if text[1] == "+" else text[1:]
 
-    objective = "".join(terms(*zip(*model.objective))) if model.objective else ""
-    lines = ["Minimize", " obj: " + expression(objective), "Subject To"]
-    for block in model.blocks:
+    def rows(block: RowBlock) -> str:
+        """The block's rows, one line each, as one join of the term texts: a
+        row's name goes onto its first term and its sense and right-hand side
+        onto its last.  No row is a string of its own, so the rows leave no
+        scattered freed blocks to split the memory a caller that keeps the
+        text (a captured stdout) needs in one piece."""
         texts = terms(block.coeffs, block.cols)
+        texts.insert(0, "")  # texts[s + 1 : e + 1] hold row (s, e)'s terms
         name, sense = block.name_format, block.sense
         for indices, rhs, s, e in block.spans():
-            text = expression("".join(texts[s:e]))
-            lines.append(f" {name % indices}: {text} {sense} {rhs}")
+            head, tail = f" {name % indices}: ", f" {sense} {rhs}\n"
+            lead = texts[s + 1] if s < e else ""
+            if lead:
+                texts[s + 1] = head + (lead[3:] if lead[1] == "+" else lead[1:])
+                texts[e] += tail
+            else:  # no terms, or a zero first coefficient: the row in one piece
+                texts[s] += head + expression("".join(texts[s + 1 : e + 1])) + tail
+                texts[s + 1 : e + 1] = [""] * (e - s)
+        return "".join(texts)
+
+    def section(title: str, lines) -> str:
+        return title + "\n" + "".join([f" {line}\n" for line in lines])
+
+    objective = "".join(terms(*zip(*model.objective))) if model.objective else ""
+    write(f"Minimize\n obj: {expression(objective)}\nSubject To\n")
+    for block in model.blocks:
+        write(rows(block))
     fixed = sorted(model.fixed_zero)
     if fixed:
-        lines.append("Bounds")
-        lines += [f" {_xname(*key)} = 0" for key in fixed]
-    lines.append("Binaries")
-    lines += [" " + name for name in names[: model.producer_base]]
-    lines.append("Generals")
-    lines += [" " + name for name in names[model.producer_base :]]
-    lines += ["End", ""]
-    return "\n".join(lines)
+        write(section("Bounds", [f"{_xname(*key)} = 0" for key in fixed]))
+    write(section("Binaries", names[: model.producer_base]))
+    write(section("Generals", names[model.producer_base :]))
+    write("End\n")
 
 
 # -- assignment construction and checking ------------------------------------
@@ -423,7 +443,9 @@ _HOLDS = {"<=": le, ">=": ge, "=": eq}
 
 
 def check_assignment(model: IlpModel, values: list[int]) -> list[Violation]:
-    """Evaluate every domain and row of a column vector; empty list means feasible."""
+    """Evaluate every domain and row of a column vector; empty list means feasible.
+    A value that is no real number (`None`, a string) breaks its domain and
+    counts as 0 in the rows."""
     if len(values) != model.num_columns:
         raise DimensionMismatchError(
             f"the assignment has {len(values)} values, the model {model.num_columns} columns"
@@ -433,6 +455,7 @@ def check_assignment(model: IlpModel, values: list[int]) -> list[Violation]:
     z_base, producer_base = x_base[-1], model.producer_base
 
     violations: list[Violation] = []
+    readable = True  # whether every value is a number the rows can read
     # A zero x value breaks no domain, so only the others are keyed.
     for j in compress(range(z_base), map(ne, values, repeat(0, z_base))):
         value = values[j]
@@ -444,17 +467,22 @@ def check_assignment(model: IlpModel, values: list[int]) -> list[Violation]:
         if value not in (0, 1):
             detail = f"{_xname(*key)} must be binary, got {value}"
             violations.append(Violation("domain", key, detail))
+            readable &= isinstance(value, Real)
         elif i and t >= in_time(pats.casts[i].duration, T):
             detail = f"{_xname(*key)} is fixed to 0 (cannot finish in the horizon)"
             violations.append(Violation("domain", key, detail))
     for t, value in zip(model.z_keys, values[z_base:producer_base]):
         if value not in (0, 1):
             violations.append(Violation("domain", (t,), f"z_{t} must be binary, got {value}"))
+            readable &= isinstance(value, Real)
     for pid, value in enumerate(values[producer_base:], start=pats.num_packing + 1):
         if not isinstance(value, int) or value < 0:
             family = "cut" if pid < pats.first_splice else "overlap"
             detail = f"{family} count must be a nonnegative integer, got {value}"
             violations.append(Violation("domain", (pid,), detail))
+            readable &= isinstance(value, Real)
+    if not readable:
+        values = [value if isinstance(value, Real) else 0 for value in values]
 
     value_of = values.__getitem__
     for block in model.blocks:

@@ -27,14 +27,13 @@ from beamforge.ilp import (
     assignment_objective,
     build_model,
     check_assignment,
-    emit_lp,
     induced_assignment,
 )
 from beamforge.instance import generate_instance
 from beamforge.patterns import generate_patterns
 
 from conftest import CWP000_DOC, beam_type, make_instance
-from test_ilp import solve_milp
+from test_ilp import lp_text, solve_milp
 from test_patterns import CUTTING_GOLDEN, OVERLAP_GOLDEN, PACKING_GOLDEN
 
 
@@ -334,8 +333,8 @@ def test_criterion_10_model_counts_and_external_solve(capfd, cwp000, cwp000_patt
         "new_bar_stock": 1,
         "bar_balance": 2,
     }
-    text = emit_lp(model)
-    assert emit_lp(build_model(cwp000, cwp000_patterns)) == text
+    text = lp_text(model)
+    assert lp_text(build_model(cwp000, cwp000_patterns)) == text
 
     detail = "x=51 z=3 y=10 o=12, 52 rows"
     try:

@@ -362,6 +362,22 @@ class TestExitCodes:
         assert "plan.json" in captured.err
         assert not trace.exists()
 
+    @pytest.mark.parametrize("command", ["emit-lp", "patterns", "bound"])
+    def test_unwritable_out_fails_before_reading_the_instance(
+        self, instance_file, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_load(*args):
+            raise AssertionError("the instance was read")
+
+        monkeypatch.setattr("beamforge.cli.load_instance", no_load)
+        out = tmp_path / "missing" / "out.txt"
+        assert dispatch([command, "--instance", instance_file, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("beamforge: ") and captured.err.count("\n") == 1
+        assert "out.txt" in captured.err
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("spelling", ["plan.json", "./sub/../plan.json"])
     def test_trace_on_the_out_is_validation_error(
         self, instance_file, tmp_path, capsys, monkeypatch, spelling
@@ -625,6 +641,31 @@ class TestEmitLp:
         assert text.rstrip().endswith("End")
         assert dispatch(["emit-lp", "--instance", instance_file, "--out", out]) == 0
         assert open(out).read() == text
+
+    def test_failed_model_leaves_no_file(self, instance_file, tmp_path, monkeypatch):
+        def no_model(*args):
+            raise ValueError("no model")
+
+        monkeypatch.setattr("beamforge.ilp.build_model", no_model)
+        out = tmp_path / "model.lp"
+        assert dispatch(["emit-lp", "--instance", instance_file, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_stdout_and_out_bytes_match_the_pin(self, tmp_path):
+        # The smallest model-lp instance; test_ilp pins the same text.
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(generate_instance(23, 2, 15)))
+        out = tmp_path / "model.lp"
+        assert dispatch(["emit-lp", "--instance", str(path), "--out", str(out)]) == 0
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamforge", "emit-lp", "--instance", str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        assert digest == "6798cacc03b77348c49fa2f8b7638b3a15cf076b363aff9290b1ee2325715911"
 
 
 class TestGantt:

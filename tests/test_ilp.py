@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from beamforge.evaluation import (
 )
 from beamforge.ga import random_solution
 from beamforge.ilp import (
+    RowBlock,
     _producer_name,
     _xname,
     assignment_objective,
@@ -35,6 +37,13 @@ from conftest import (
     find_packing,
     make_instance,
 )
+
+
+def lp_text(model):
+    """The LP text `emit_lp` writes, collected chunk by chunk."""
+    parts = []
+    emit_lp(model, parts.append)
+    return "".join(parts)
 
 
 def parse_lp(text):
@@ -186,7 +195,7 @@ class TestColumnLayout:
 class TestEmit:
     def test_deterministic(self, cwp000, cwp000_patterns):
         model = build_model(cwp000, cwp000_patterns)
-        assert emit_lp(model) == emit_lp(build_model(cwp000, cwp000_patterns))
+        assert lp_text(model) == lp_text(build_model(cwp000, cwp000_patterns))
 
     # Generals (cutting + overlapping variables) and x columns fixed to zero.
     ROUND_TRIP_COUNTS = {"cwp000": (22, 0), "curing": (22, 7), "generated": (22, 517)}
@@ -199,7 +208,7 @@ class TestEmit:
             inst = curing_instance() if which == "curing" else generate_instance(11, 3, 15)
             pats = generate_patterns(inst)
         model = build_model(inst, pats)
-        objective, rows, fixed, binaries, generals = parse_lp(emit_lp(model))
+        objective, rows, fixed, binaries, generals = parse_lp(lp_text(model))
         assert binaries == {f"x_{i}_{m}_{t}" for i, m, t in model.x_keys} | {
             f"z_{t}" for t in model.z_keys
         }
@@ -220,6 +229,28 @@ class TestEmit:
         emitted_obj = {model.names[j]: coeff for coeff, j in model.objective if coeff != 0}
         assert objective == pytest.approx(emitted_obj)
 
+    def test_rows_without_terms_or_with_a_zero_first_term(self, cwp000, cwp000_patterns):
+        # A row without terms reads "0 <first column>", at a block's start and
+        # after another row; zero terms are dropped; the first term keeps its
+        # sign only when negative.
+        model = build_model(cwp000, cwp000_patterns)
+        n = model.names
+        coeffs = array("i", [0, 1, -1, 2, 0, -3, 1, -1])
+        cols = array("i", [3, 4, 5, 6, 7, 8, 9, 10])
+        starts = array("i", [0, 0, 3, 3, 5, 6, 8])
+        indices = [(k,) for k in range(1, 7)]
+        model.blocks = [RowBlock("odd", "<=", indices, list(range(6)), coeffs, cols, starts)]
+        chunks = []
+        emit_lp(model, chunks.append)
+        assert chunks[1] == "".join([
+            f" odd_1: 0 {n[0]} <= 0\n",
+            f" odd_2: {n[4]} - {n[5]} <= 1\n",
+            f" odd_3: 0 {n[0]} <= 2\n",
+            f" odd_4: 2 {n[6]} <= 3\n",
+            f" odd_5: - 3 {n[8]} <= 4\n",
+            f" odd_6: {n[9]} - {n[10]} <= 5\n",
+        ])
+
     def test_empty_pattern_set(self, cwp000):
         empty = PatternSet(
             packing=[],
@@ -230,7 +261,7 @@ class TestEmit:
             kinds=len(cwp000.stock),
         )
         model = build_model(cwp000, empty)
-        text = emit_lp(model)
+        text = lp_text(model)
         objective, _, _, _, _ = parse_lp(text)
         assert set(objective) == {"z_1", "z_2", "z_3"}
 
@@ -275,6 +306,38 @@ class TestCheckAssignment:
         assignment = induced_assignment(model, Chromosome(cwp000_optimal_genes(cwp000_patterns)))
         with pytest.raises(DimensionMismatchError):
             check_assignment(model, assignment[:-1])
+
+    @pytest.mark.parametrize("value", [None, ""], ids=["none", "empty-string"])
+    @pytest.mark.parametrize("family", ["x", "z", "cut"])
+    def test_non_numeric_value_is_a_domain_violation(self, family, value):
+        # The value's own domain violation, then the rows as if it were 0.
+        inst = generate_instance(7, 2, 15)
+        pats = generate_patterns(inst)
+        model = build_model(inst, pats)
+        rng = random.Random(1)
+        assignment = None
+        while assignment is None:
+            ch = random_solution(inst, pats, rng)
+            if ch is None:
+                continue
+            try:
+                assignment = induced_assignment(model, ch)
+            except HorizonError:
+                pass
+        assert check_assignment(model, assignment) == []
+        nx, cuts = model.x_base[-1], range(model.producer_base, model.num_columns)
+        column = {
+            "x": assignment.index(1),
+            "z": nx,
+            "cut": next(j for j in cuts if assignment[j] > 0),
+        }[family]
+        assert assignment[column] > 0
+        zeroed, broken = list(assignment), list(assignment)
+        zeroed[column], broken[column] = 0, value
+        found = check_assignment(model, broken)
+        assert found[0].group == "domain"
+        assert found[0].detail.endswith(f"got {value}")
+        assert found[1:] == check_assignment(model, zeroed) != []
 
     def test_random_feasible_chromosomes_pass(self, cwp000, cwp000_patterns):
         # Any feasible chromosome induces a feasible assignment whose model
@@ -471,7 +534,7 @@ class TestExternalSolve:
     def test_milp_on_emitted_file(self, cwp000, cwp000_patterns, tmp_path):
         pytest.importorskip("scipy.optimize")
         path = tmp_path / "model.lp"
-        path.write_text(emit_lp(build_model(cwp000, cwp000_patterns)))
+        path.write_text(lp_text(build_model(cwp000, cwp000_patterns)))
         result = solve_milp(path.read_text())
         assert result.success
         assert result.fun == pytest.approx(2.3, abs=1e-6)
@@ -500,15 +563,27 @@ class TestPinnedBytes:
     def test_pinned_lp_bytes(self, cases):
         digest = hashlib.sha256()
         for inst, pats in cases:
-            digest.update(emit_lp(build_model(inst, pats)).encode())
+            digest.update(lp_text(build_model(inst, pats)).encode())
         assert digest.hexdigest() == "380213c5aff70a894d9a2e6e6a37653e08972f60fa2914ad4d37497fd11abc64"
 
     def test_pinned_lp_bytes_at_bench_scale(self):
         # The smallest model-lp instance: 39,842 x columns, 1,584 fixed zeros.
         inst = generate_instance(23, 2, 15)
-        text = emit_lp(build_model(inst, generate_patterns(inst)))
+        text = lp_text(build_model(inst, generate_patterns(inst)))
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "6798cacc03b77348c49fa2f8b7638b3a15cf076b363aff9290b1ee2325715911"
+
+    def test_emission_writes_one_chunk_per_block(self):
+        # The header, each row block, then Bounds, Binaries, Generals and End:
+        # no chunk holds more than a quarter of the text.
+        inst = generate_instance(23, 2, 15)
+        model = build_model(inst, generate_patterns(inst))
+        chunks = []
+        emit_lp(model, chunks.append)
+        assert model.fixed_zero
+        assert len(chunks) == 1 + len(model.blocks) + 4
+        assert max(map(len, chunks)) <= sum(map(len, chunks)) / 4
+        assert chunks[0].endswith("Subject To\n") and chunks[-1] == "End\n"
 
     def test_pinned_induced_assignments(self, cases):
         # The column vectors of 40 drawn plans per case.
