@@ -385,7 +385,7 @@ def emit_lp(model: IlpModel, write: Callable[[str], object]) -> None:
             head, tail = f" {name % indices}: ", f" {sense} {rhs}\n"
             lead = texts[s + 1] if s < e else ""
             if lead:
-                texts[s + 1] = head + (lead[3:] if lead[1] == "+" else lead[1:])
+                texts[s + 1] = head + expression(lead)
                 texts[e] += tail
             else:  # no terms, or a zero first coefficient: the row in one piece
                 texts[s] += head + expression("".join(texts[s + 1 : e + 1])) + tail
